@@ -43,7 +43,7 @@ for variant in ABLATION_VARIANTS:
         TrainConfig(learning_rate=5e-3, warmup_steps=60, seed=SEED),
         max_steps=STEPS, trainable=groups, total_steps=STEPS)
     report = evaluate(model, enc_test, ablation=variant, vocab=vocab,
-                      dictionary=dictionary, measure_latency=False)
+                      dictionary=dictionary)
     reports.append(report)
     print(f"  {variant:<12} held-out EM {report.em:5.1f}%")
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -64,6 +65,8 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         parts = dotted.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"override {dotted!r}: {part!r} is not a settings section")
         try:
             node[parts[-1]] = json.loads(raw)
         except json.JSONDecodeError:
@@ -87,11 +90,24 @@ def _write_manifest(out_dir: Path, command: str, settings: dict,
         fh.write("\n")
 
 
+def _settings(cls, section: str, settings: dict):
+    """Build config dataclass ``cls`` from ``settings``, naming any bad key."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for key, value in settings.items():
+        if key not in defaults:
+            raise ValueError(f"unknown setting {section}.{key}")
+        kinds = (int, float) if type(defaults[key]) is float else (type(defaults[key]),)
+        if type(value) not in kinds:
+            raise ValueError(f"setting {section}.{key} must be {kinds[-1].__name__}, "
+                             f"got {value!r}")
+    return cls(**settings)
+
+
 def _model_config(cfg: dict, vocab_size: int | None = None) -> model_mod.ModelConfig:
     settings = dict(cfg["model"])
     if vocab_size is not None:
         settings["vocab_size"] = vocab_size
-    return model_mod.ModelConfig(**settings)
+    return _settings(model_mod.ModelConfig, "model", settings)
 
 
 def _stages(cfg: dict) -> list[training.StageConfig]:
@@ -109,7 +125,7 @@ def _stages(cfg: dict) -> list[training.StageConfig]:
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
-    return training.TrainConfig(**cfg["train"])
+    return _settings(training.TrainConfig, "train", cfg["train"])
 
 
 def _check_dictionary_version(model: model_mod.EncoderModel, dictionary) -> None:
@@ -310,9 +326,8 @@ def cmd_eval(args) -> int:
     report.to_json(out_dir / "report.json")
     table = evaluation.format_report_table([report])
     (out_dir / "report.txt").write_text(table + "\n", encoding="utf-8")
-    preds = evaluation.predict_all(model, encoded, vocab, ablation=args.ablation)
     with open(out_dir / "predictions.json", "w", encoding="utf-8") as fh:
-        json.dump(preds, fh, indent=1, sort_keys=True)
+        json.dump(report.predictions, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(table)
     _write_manifest(out_dir, "eval", {"ablation": args.ablation, **cfg},
@@ -356,7 +371,7 @@ def cmd_ablate(args) -> int:
             model = model_mod.load_checkpoint(path)
             _check_dictionary_version(model, dictionary)
         report = evaluation.evaluate(model, enc_test, ablation=variant, vocab=vocab,
-                                     dictionary=dictionary, measure_latency=False)
+                                     dictionary=dictionary)
         reports.append(report)
 
     table = evaluation.format_report_table(reports, ablation_style=True)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,9 +66,12 @@ class MetricReport:
     n_examples: int
     concept_em: float | None = None
     variant: str = FULL
+    # the decoded predictions behind the scores; not part of the report
+    predictions: list[dict] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name != "predictions"}
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -125,25 +128,6 @@ def predict_all(
     return out
 
 
-def measure_forward_latency(
-    model: EncoderModel,
-    dataset: list[EncodedExample],
-    repeats: int = 5,
-    ablation: str = FULL,
-) -> np.ndarray:
-    """Median-of-``repeats`` forward wall time per example, in milliseconds."""
-    m = ablated_model(model, ablation)
-    out = np.zeros(len(dataset))
-    for i, enc in enumerate(dataset):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            encoder_forward(m, enc.example.token_ids, enc.example.boost)
-            times.append((time.perf_counter() - t0) * 1e3)
-        out[i] = float(np.median(times))
-    return out
-
-
 def latency_ratio(
     model: EncoderModel,
     dataset: list[EncodedExample],
@@ -185,30 +169,31 @@ def evaluate(
     vocab: Vocab | None = None,
     embedder: metrics.Embedder | None = None,
     dictionary: ConceptDictionary | None = None,
-    measure_latency: bool = True,
 ) -> MetricReport:
-    """Full metric pass over an encoded dataset.
+    """Full metric pass over an encoded dataset, from one prediction pass.
 
     EM and F1 take the max over gold references; BLEU, ROUGE-L and the
-    embedding score use the primary reference.  Latency is forward-only and
-    excluded from determinism guarantees.
+    embedding score use the primary reference.  ``mean_latency_ms`` is the
+    wall time of the prediction pass (forward, span search and decode) per
+    example; it is excluded from determinism guarantees.  The decoded
+    predictions ride along on the report as ``predictions``.
     """
     if not dataset:
         raise ValueError("empty dataset")
     if vocab is None:
         raise ValueError("a vocabulary is required to decode predictions")
+    t0 = time.perf_counter()
     preds = predict_all(model, dataset, vocab, ablation)
+    latency_ms = (time.perf_counter() - t0) * 1e3 / len(dataset)
 
     ems, f1s, bleus, rouges = [], [], [], []
     primary_pairs = []
     concept_flags = []
     for enc, pred in zip(dataset, preds):
         text = pred["pred_text"]
-        norm_pred = metrics.normalize_answer(text)
-        ems.append(max(
-            float(norm_pred == metrics.normalize_answer(g)) for g in enc.gold_texts
-        ))
-        f1s.append(max(metrics.token_f1(text, g) for g in enc.gold_texts))
+        em, f1 = metrics.best_em_f1(text, enc.gold_texts)
+        ems.append(em)
+        f1s.append(f1)
         bleus.append(metrics.bleu(text, enc.gold_texts[0]))
         rouges.append(metrics.rouge_l(text, enc.gold_texts[0]))
         primary_pairs.append((text, enc.gold_texts[0]))
@@ -225,20 +210,17 @@ def evaluate(
         sel = [e for e, flag in zip(ems, concept_flags) if flag]
         concept_em = 100.0 * float(np.mean(sel))
 
-    latency = 0.0
-    if measure_latency:
-        latency = float(np.mean(measure_forward_latency(model, dataset, ablation=ablation)))
-
     return MetricReport(
         em=100.0 * float(np.mean(ems)),
         f1=100.0 * float(np.mean(f1s)),
         bleu=float(np.mean(bleus)),
         rouge_l=float(np.mean(rouges)),
         embed_score=emb,
-        mean_latency_ms=latency,
+        mean_latency_ms=latency_ms,
         n_examples=len(dataset),
         concept_em=concept_em,
         variant=ablation,
+        predictions=preds,
     )
 
 

@@ -52,6 +52,13 @@ def token_f1(pred: str, gold: str) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def best_em_f1(pred: str, golds: Sequence[str]) -> tuple[float, float]:
+    """Exact match (0 or 1) and token F1 of ``pred``, each maxed over the references."""
+    norm_pred = normalize_answer(pred)
+    em = max(float(norm_pred == normalize_answer(g)) for g in golds)
+    return em, max(token_f1(pred, g) for g in golds)
+
+
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 

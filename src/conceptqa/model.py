@@ -211,7 +211,7 @@ def lora_apply(base: np.ndarray, lora_a: np.ndarray, lora_b: np.ndarray,
         raise ValueError(
             f"rank mismatch: A {lora_a.shape}, B {lora_b.shape} for base {base.shape}"
         )
-    return x @ base + scale * ((x @ lora_a) @ lora_b)
+    return _lin_fwd(x, base, None, lora_a, lora_b, scale)[0]
 
 
 def _lin_fwd(x, w, b, a, bb, scale):
@@ -700,18 +700,34 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:
+    """Read a ``save_checkpoint`` file; a truncated or inconsistent one raises ValueError."""
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint")
+    if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 16:
+        raise ValueError(f"{path}: not a model checkpoint, or cut short of 16 bytes")
     fmt = int(np.frombuffer(raw[4:8], dtype=np.uint32)[0])
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unsupported checkpoint format {fmt}")
     hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
-    header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+    if 16 + hlen > len(raw):
+        raise ValueError(f"{path}: header needs bytes [16, {16 + hlen}) "
+                         f"but the file has {len(raw)}")
+    try:
+        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: corrupt header: {exc}") from None
+    unknown = set(header["config"]) - {f.name for f in dataclasses.fields(ModelConfig)}
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s) {sorted(unknown)}")
     body = raw[16 + hlen:]
     params = {}
     for t in header["tensors"]:
-        arr = np.frombuffer(body[t["offset"]:t["offset"] + t["nbytes"]], dtype="<f4")
+        start, stop = t["offset"], t["offset"] + t["nbytes"]
+        where = f"{path}: tensor {t['name']!r} at body bytes [{start}, {stop})"
+        if t["nbytes"] != 4 * math.prod(t["shape"]):
+            raise ValueError(f"{where}: {t['nbytes']} bytes for shape {t['shape']}")
+        if start < 0 or stop > len(body):
+            raise ValueError(f"{where}: the body has {len(body)} bytes")
+        arr = np.frombuffer(body[start:stop], dtype="<f4")
         params[t["name"]] = arr.reshape(t["shape"]).copy()
     config = ModelConfig(**header["config"])
     return EncoderModel(config=config, params=params, seed=header["seed"],

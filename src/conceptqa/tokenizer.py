@@ -202,10 +202,6 @@ class TokenizedExample:
     def __len__(self) -> int:
         return len(self.token_ids)
 
-    @property
-    def context_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.segment_flags == SEG_CONTEXT)
-
     def span_text(self, vocab: Vocab, span: tuple[int, int]) -> str:
         """Detokenized text of an inclusive token span."""
         s, e = span
@@ -354,8 +350,3 @@ def build_boost_vector(example: TokenizedExample, dictionary: ConceptDictionary)
         mask = widx == wi
         values[mask] = 1.0 + (bf - 1.0) / np.count_nonzero(mask)
     return values
-
-
-def dictionary_flags(example: TokenizedExample) -> np.ndarray:
-    """Boolean per-token flags marking dictionary-member tokens (boost > 1)."""
-    return example.boost > 1.0

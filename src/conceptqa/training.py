@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, model as model_mod
+from . import evaluation, metrics, model as model_mod
 from .dictionary import ConceptDictionary
 from .model import ADAPTABLE_GROUPS, EncoderModel
 from .text import normalize_text, words_with_spans
@@ -257,19 +257,30 @@ def augment_synonym(
 
 def _quick_eval(model: EncoderModel, examples, vocab: Vocab, boost_enabled: bool):
     """Validation EM/F1 (percent) by greedy span prediction and text match."""
-    ems, f1s = [], []
-    for enc in examples:
-        boost = enc.example.boost if boost_enabled else np.ones(len(enc.example))
-        start, end, _ = model_mod.qa_forward(model, enc.example, boost=boost)
-        pred = model_mod.predict_span(start, end, enc.example,
-                                      model.config.max_answer_len)
-        text = enc.example.span_text(vocab, (pred.start, pred.end))
-        ems.append(max(
-            float(metrics.normalize_answer(text) == metrics.normalize_answer(g))
-            for g in enc.gold_texts
-        ))
-        f1s.append(max(metrics.token_f1(text, g) for g in enc.gold_texts))
+    preds = evaluation.predict_all(model, examples, vocab,
+                                   evaluation.FULL if boost_enabled else evaluation.NO_ICD)
+    ems, f1s = zip(*(metrics.best_em_f1(p["pred_text"], enc.gold_texts)
+                     for enc, p in zip(examples, preds)))
     return 100.0 * float(np.mean(ems)), 100.0 * float(np.mean(f1s))
+
+
+def _train_step(model: EncoderModel, batch: list, cfg: TrainConfig, opt_state: dict,
+                lr: float, boost_enabled: bool, trainable: tuple[str, ...]) -> list[float]:
+    """One optimizer step on the batch-mean gradient; returns per-example losses."""
+    acc: dict[str, np.ndarray] = {}
+    losses = []
+    for enc in batch:
+        boost = None if boost_enabled else np.ones(len(enc.example))
+        loss, grads = model_mod.qa_loss_and_grads(
+            model, enc.example, boost=boost, trainable_groups=trainable
+        )
+        losses.append(loss)
+        for k, g in grads.items():
+            acc[k] = acc[k] + g if k in acc else g
+    for k in acc:
+        acc[k] = acc[k] / len(batch)
+    optimizer_step(model.params, acc, opt_state, cfg, lr=lr)
+    return losses
 
 
 def train_two_stage(
@@ -279,7 +290,6 @@ def train_two_stage(
     cfg: TrainConfig,
     stages: list[StageConfig] | None = None,
     vocab: Vocab | None = None,
-    eval_every_epochs: int = 1,
 ) -> tuple[EncoderModel, TrainHistory]:
     """Run the two-stage loop with per-epoch validation and early stopping.
 
@@ -313,7 +323,6 @@ def train_two_stage(
     epochs_done = 0
 
     for stage in stages:
-        neutral = None if stage.boost_enabled else True
         # patience is per stage: a new stage changes the objective, so it
         # starts with a fresh non-improvement budget (the best checkpoint
         # remains global across stages)
@@ -325,21 +334,9 @@ def train_two_stage(
             losses = []
             for batch_start in range(0, len(order), cfg.effective_batch):
                 batch = order[batch_start:batch_start + cfg.effective_batch]
-                acc: dict[str, np.ndarray] = {}
-                for j in batch:
-                    enc = usable[j]
-                    boost = np.ones(len(enc.example)) if neutral else None
-                    loss, grads = model_mod.qa_loss_and_grads(
-                        model, enc.example, boost=boost,
-                        trainable_groups=stage.trainable,
-                    )
-                    losses.append(loss)
-                    for k, g in grads.items():
-                        acc[k] = acc[k] + g if k in acc else g
-                for k in acc:
-                    acc[k] = acc[k] / len(batch)
                 lr = lr_schedule(min(global_step + 1, total_steps), cfg, total_steps)
-                optimizer_step(model.params, acc, opt_state, cfg, lr=lr)
+                losses += _train_step(model, [usable[j] for j in batch], cfg, opt_state,
+                                      lr, stage.boost_enabled, stage.trainable)
                 global_step += 1
             epochs_done += 1
 
@@ -383,18 +380,8 @@ def train_epochs_simple(
             if step >= max_steps:
                 break
             batch = order[batch_start:batch_start + cfg.effective_batch]
-            acc: dict[str, np.ndarray] = {}
-            for j in batch:
-                enc = usable[j]
-                boost = None if boost_enabled else np.ones(len(enc.example))
-                _, grads = model_mod.qa_loss_and_grads(
-                    model, enc.example, boost=boost, trainable_groups=trainable
-                )
-                for k, g in grads.items():
-                    acc[k] = acc[k] + g if k in acc else g
-            for k in acc:
-                acc[k] = acc[k] / len(batch)
             lr = lr_schedule(min(step + 1, total), cfg, total)
-            optimizer_step(model.params, acc, opt_state, cfg, lr=lr)
+            _train_step(model, [usable[j] for j in batch], cfg, opt_state, lr,
+                        boost_enabled, trainable)
             step += 1
     return model

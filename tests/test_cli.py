@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conceptqa import synthetic
@@ -169,6 +170,16 @@ class TestTrainEvalPredict:
         preds = json.loads((out_dir / "predictions.json").read_text())
         assert {"id", "pred_text", "gold_text", "start", "end"} <= set(preds[0])
 
+    def test_eval_predictions_match_predict(self, workdir, trained, tmp_path):
+        common = ["--checkpoint", str(trained / "checkpoint.bin"),
+                  "--data", str(workdir / "flat.json"),
+                  "--vocab", str(workdir / "vocab.json"),
+                  "--dict", str(workdir / "icd.json")]
+        assert main(["eval", *common, "--out-dir", str(tmp_path / "ev")]) == 0
+        assert main(["predict", *common, "--out", str(tmp_path / "preds.json")]) == 0
+        assert (tmp_path / "ev" / "predictions.json").read_text() == \
+            (tmp_path / "preds.json").read_text()
+
     def test_dictionary_version_mismatch(self, workdir, trained, tmp_path):
         from conceptqa.dictionary import builtin_dictionary, save_dictionary
         other = tmp_path / "other.json"
@@ -189,6 +200,47 @@ class TestTrainEvalPredict:
                    "--out", str(out)])
         assert rc == 0
         assert len(json.loads(out.read_text())) == 40
+
+    @pytest.mark.parametrize("cut", ["magic", "preamble", "header", "body", "last_byte"])
+    def test_predict_rejects_truncated_checkpoint(self, workdir, trained, tmp_path,
+                                                  capsys, cut):
+        raw = (trained / "checkpoint.bin").read_bytes()
+        hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+        keep = {"magic": 2, "preamble": 10, "header": 16 + hlen // 2,
+                "body": 16 + hlen + 7, "last_byte": len(raw) - 1}[cut]
+        bad = tmp_path / "cut.bin"
+        bad.write_bytes(raw[:keep])
+        rc = main(["predict", "--checkpoint", str(bad),
+                   "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out", str(tmp_path / "preds.json")])
+        assert rc == 1
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["config"].update(bogus=1), "unknown config key"),
+        (lambda h: h["tensors"][0].update(nbytes=h["tensors"][0]["nbytes"] + 4),
+         "bytes for shape"),
+        (lambda h: h["tensors"][-1].update(offset=h["tensors"][-1]["offset"] + 4),
+         "the body has"),
+    ])
+    def test_predict_rejects_inconsistent_checkpoint(self, workdir, trained, tmp_path,
+                                                     capsys, edit, message):
+        raw = (trained / "checkpoint.bin").read_bytes()
+        hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+        header = json.loads(raw[16:16 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "edited.bin"
+        bad.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + hlen:])
+        rc = main(["predict", "--checkpoint", str(bad),
+                   "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out", str(tmp_path / "preds.json")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
     def test_ablate_with_pretrained_checkpoints(self, workdir, trained, capsys):
         ckpt_dir = workdir / "variants"
@@ -260,6 +312,19 @@ class TestGradcheckCommand:
 class TestExitCodes:
     def test_missing_file_is_one(self, tmp_path):
         assert main(["icd", "show", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("override, key", [
+        ("train.bogus=1", "train.bogus"),
+        ("model.hidden=oops", "model.hidden"),
+        ("stages.0.stage=x", "stages.0.stage"),
+    ])
+    def test_bad_override_is_one(self, workdir, tmp_path, capsys, override, key):
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(tmp_path / "run"), "--set", override])
+        assert rc == 1
+        assert key in capsys.readouterr().err
 
     def test_config_override_flags_win(self, workdir, tmp_path, capsys):
         out = tmp_path / "s.json"
