@@ -112,16 +112,50 @@ def _model_config(cfg: dict, vocab_size: int | None = None) -> model_mod.ModelCo
 
 def _stages(cfg: dict) -> list[training.StageConfig]:
     defaults = {s.stage: s for s in training.default_stages()}
+    if not isinstance(cfg["stages"], list):
+        raise ValueError(f"setting stages must be a list, got {cfg['stages']!r}")
     out = []
-    for raw in cfg["stages"]:
+    for n, raw in enumerate(cfg["stages"]):
+        if not isinstance(raw, dict):
+            raise ValueError(f"setting stages.{n} must be an object, got {raw!r}")
+        if raw.get("stage") not in tuple(defaults):
+            raise ValueError(f"setting stages.{n}.stage must be one of {sorted(defaults)}, "
+                             f"got {raw.get('stage')!r}")
+        unknown = set(raw) - {"stage", "epochs", "trainable"}
+        if unknown:
+            raise ValueError(f"unknown setting(s) stages.{n}: {sorted(unknown)}")
         base = defaults[raw["stage"]]
+        epochs = raw.get("epochs", base.epochs)
+        if type(epochs) is not int:
+            raise ValueError(f"setting stages.{n}.epochs must be int, got {epochs!r}")
+        trainable = raw.get("trainable", base.trainable)
+        if not isinstance(trainable, (list, tuple)):
+            raise ValueError(f"setting stages.{n}.trainable must be a list, got {trainable!r}")
         out.append(training.StageConfig(
             stage=raw["stage"],
-            epochs=int(raw.get("epochs", base.epochs)),
+            epochs=epochs,
             boost_enabled=base.boost_enabled,
-            trainable=tuple(raw.get("trainable", base.trainable)),
+            trainable=tuple(trainable),
         ))
     return out
+
+
+def _split(cfg: dict) -> tuple[tuple[float, float, float], int]:
+    """The (train, val, test) ratios and the seed of the split settings."""
+    split = cfg["split"]
+    if not isinstance(split, dict):
+        raise ValueError(f"setting split must be an object, got {split!r}")
+    unknown = set(split) - {"ratios", "seed"}
+    if unknown:
+        raise ValueError(f"unknown setting(s) split: {sorted(unknown)}")
+    ratios = split["ratios"]
+    if not (isinstance(ratios, list) and len(ratios) == 3
+            and all(type(r) in (int, float) and r >= 0 for r in ratios)):
+        raise ValueError(f"setting split.ratios must be a list of 3 numbers >= 0, "
+                         f"got {ratios!r}")
+    if type(split["seed"]) is not int:
+        raise ValueError(f"setting split.seed must be int, got {split['seed']!r}")
+    return tuple(ratios), split["seed"]
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
@@ -185,8 +219,7 @@ def cmd_data_ingest(args) -> int:
 
 def cmd_data_split(args) -> int:
     cfg = _load_config(args.config, args.set)
-    ratios = tuple(cfg["split"]["ratios"])
-    seed = int(cfg["split"]["seed"])
+    ratios, seed = _split(cfg)
     dataset = data_mod.load_dataset(args.input)
     train, val, test = data_mod.split_dataset(dataset, ratios=ratios, seed=seed)
     out_dir = Path(args.out_dir)
@@ -283,8 +316,7 @@ def cmd_train(args) -> int:
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
     dataset = data_mod.load_dataset(args.data)
-    ratios = tuple(cfg["split"]["ratios"])
-    split_seed = int(cfg["split"]["seed"])
+    ratios, split_seed = _split(cfg)
     train_recs, val_recs, test_recs = data_mod.split_dataset(dataset, ratios, split_seed)
 
     mcfg = _model_config(cfg, vocab_size=len(vocab))
@@ -343,8 +375,7 @@ def cmd_ablate(args) -> int:
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
     dataset = data_mod.load_dataset(args.data)
-    ratios = tuple(cfg["split"]["ratios"])
-    split_seed = int(cfg["split"]["seed"])
+    ratios, split_seed = _split(cfg)
     train_recs, val_recs, test_recs = data_mod.split_dataset(dataset, ratios, split_seed)
 
     mcfg = _model_config(cfg, vocab_size=len(vocab))

@@ -64,10 +64,12 @@ class ModelConfig:
     max_answer_len: int = 30
 
     def __post_init__(self):
+        for name, low in (("layers", 1), ("hidden", 1), ("heads", 1), ("lora_rank", 1),
+                          ("max_rel_distance", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.lora_rank < 1:
-            raise ValueError("lora_rank must be >= 1")
         if self.gate_mode not in (GATE_SHARED, GATE_PER_LAYER, GATE_OFF):
             raise ValueError(f"unknown gate_mode {self.gate_mode!r}")
         if self.boost_mode not in (BOOST_RESIDUAL, BOOST_ATTENTION, BOOST_OFF):
@@ -268,22 +270,20 @@ def _softmax(s):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@lru_cache(maxsize=32)
-def _rel_index(seq_len: int, max_dist: int) -> np.ndarray:
-    """idx[i, j] = clip(j - i, -max_dist, max_dist) + max_dist."""
-    offs = np.arange(seq_len)[None, :] - np.arange(seq_len)[:, None]
-    return np.clip(offs, -max_dist, max_dist) + max_dist
+@lru_cache(maxsize=8)
+def _rel_positions(seq_len: int, max_dist: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat positions (c2p_at, p2c_at) of the relative-position terms.
 
-
-@lru_cache(maxsize=32)
-def _rel_onehot(seq_len: int, max_dist: int) -> np.ndarray:
-    """One-hot expansion of _rel_index, used to scatter gradients back."""
-    idx = _rel_index(seq_len, max_dist)
-    p = 2 * max_dist + 1
-    onehot = np.zeros((seq_len, seq_len, p))
-    i, j = np.indices(idx.shape)
-    onehot[i, j, idx] = 1.0
-    return onehot
+    With idx[i, j] = clip(j - i, -m, m) + m and P = 2m + 1, score (i, j) reads
+    a_c2p[h] (L, P) at flat i*P + idx[i, j] and a_p2c[h] (P, L) at idx[j, i]*L + j.
+    One example's passes reuse one entry; each entry is 16·L² bytes (2.4 MB at L = 384).
+    """
+    pos = np.arange(seq_len)
+    idx = np.clip(pos[None, :] - pos[:, None], -max_dist, max_dist) + max_dist
+    c2p_at, p2c_at = pos[:, None] * (2 * max_dist + 1) + idx, idx.T * seq_len + pos
+    for at in (c2p_at, p2c_at):
+        at.setflags(write=False)  # the cache hands the same arrays to every caller
+    return c2p_at, p2c_at
 
 
 def _split_heads(x, heads):
@@ -304,7 +304,6 @@ def _attn_params(params, layer, proj):
 
 def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
     nh, dh = config.heads, config.head_dim
-    m = config.max_rel_distance
     scale = config.lora_scale
     seq_len = h.shape[0]
     rel = params[f"layer{layer}.attn.rel_table"]
@@ -325,15 +324,13 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
     qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
     qrh, krh = _split_heads(qr, nh), _split_heads(kr, nh)
 
-    idx = _rel_index(seq_len, m)
-    idx3 = np.broadcast_to(idx, (nh, seq_len, seq_len))
-    idx3t = np.broadcast_to(idx.T, (nh, seq_len, seq_len))
-
     c2c = qh @ kh.transpose(0, 2, 1)
+    # gather at flat positions; _attention_bwd scatter-adds back to them
+    c2p_at, p2c_at = _rel_positions(seq_len, config.max_rel_distance)
     a_c2p = qh @ krh.transpose(0, 2, 1)                      # (nh, L, P)
-    c2p = np.take_along_axis(a_c2p, idx3, axis=2)
+    c2p = np.take(a_c2p.reshape(nh, -1), c2p_at, axis=1)
     a_p2c = qrh @ kh.transpose(0, 2, 1)                      # (nh, P, L)
-    p2c = np.take_along_axis(a_p2c, idx3t, axis=1)
+    p2c = np.take(a_p2c.reshape(nh, -1), p2c_at, axis=1)
 
     s = (c2c + c2p + p2c) / math.sqrt(3.0 * dh)
     if score_boost is not None:
@@ -352,7 +349,6 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
 
 def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
     nh, dh = config.heads, config.head_dim
-    m = config.max_rel_distance
     scale = config.lora_scale
     layer = cache["layer"]
     seq_len = cache["seq_len"]
@@ -374,16 +370,19 @@ def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
         ds = ds * cache["score_boost"][None, None, :]
     ds = ds / math.sqrt(3.0 * dh)
 
-    onehot = _rel_onehot(seq_len, m)
     # content-content
     dqh = ds @ kh
     dkh = ds.transpose(0, 2, 1) @ qh
-    # content-position: a_c2p[h, i, p] gathered at p = idx[i, j]
-    da_c2p = np.einsum("hij,ijp->hip", ds, onehot)
+    # scatter-add, the adjoint of the forward's gather: each score gradient is
+    # summed (float64, in input order) into the flat cell it was read from
+    c2p_at, p2c_at = _rel_positions(seq_len, config.max_rel_distance)
+    cells = seq_len * qrh.shape[1]  # L * P
+    head_at = np.arange(nh)[:, None, None] * cells
+    w = ds.ravel()
+    da_c2p = np.bincount((head_at + c2p_at).ravel(), w, nh * cells).reshape(nh, seq_len, -1)
     dqh += da_c2p @ krh
     dkrh = da_c2p.transpose(0, 2, 1) @ qh
-    # position-content: a_p2c[h, p, j] gathered at p = idx[j, i]
-    da_p2c = np.einsum("hij,jip->hpj", ds, onehot)
+    da_p2c = np.bincount((head_at + p2c_at).ravel(), w, nh * cells).reshape(nh, -1, seq_len)
     dqrh = da_p2c @ kh
     dkh += da_p2c.transpose(0, 2, 1) @ qrh
 

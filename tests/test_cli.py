@@ -317,6 +317,14 @@ class TestExitCodes:
         ("train.bogus=1", "train.bogus"),
         ("model.hidden=oops", "model.hidden"),
         ("stages.0.stage=x", "stages.0.stage"),
+        ("model.heads=0", "heads must be >= 1, got 0"),
+        ("model.layers=0", "layers must be >= 1, got 0"),
+        ("model.hidden=0", "hidden must be >= 1, got 0"),
+        ("model.max_rel_distance=-1", "max_rel_distance must be >= 0, got -1"),
+        ('stages=[{"stage":"x"}]',
+         "stages.0.stage must be one of ['adaptation', 'specialization'], got 'x'"),
+        ("split.ratios=oops", "split.ratios"),
+        ("split.seed=oops", "split.seed"),
     ])
     def test_bad_override_is_one(self, workdir, tmp_path, capsys, override, key):
         rc = main(["train", "--data", str(workdir / "flat.json"),

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +187,19 @@ class TestDisentangledAttention:
         out, _ = M._attention_fwd(h, small_model.params, 1, small_model.config)
         np.testing.assert_allclose(
             out, loop_attention(h, small_model.params, 1, small_model.config), atol=1e-12)
+
+    @pytest.mark.parametrize("seq_len", [12, 1])
+    def test_matches_loop_oracle_past_the_clip(self, seq_len):
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=16, lora_rank=2,
+                          max_rel_distance=2)
+        model = build_model(cfg, seed=10, dtype=np.float64)
+        rng = np.random.default_rng(11)
+        for name in ("q", "k", "v", "o"):
+            lora_b = model.params[f"layer0.attn.{name}.lora_b"]
+            lora_b[:] = rng.standard_normal(lora_b.shape) * 0.1
+        h = rng.standard_normal((seq_len, 8))
+        out, _ = M._attention_fwd(h, model.params, 0, cfg)
+        np.testing.assert_allclose(out, loop_attention(h, model.params, 0, cfg), atol=1e-12)
 
     def test_public_op_applies_residual_norm(self, small_model):
         rng = np.random.default_rng(9)
@@ -401,6 +416,63 @@ class TestFullModelGradients:
                             / max(abs(numeric), abs(flat_g[i]), 1.0))
         assert worst < 1e-6
 
+    @pytest.mark.parametrize("boost_mode", ["residual_gate", "attention_score"])
+    def test_lora_grads_past_the_clip_match_finite_differences(self, boost_mode):
+        # L = 18 >= 3 * (2m + 1), nonzero LoRA B and attention tensors well above
+        # the init scale, so the Q/K lora_a gradients that flow back through the
+        # relative-position scatter are far from zero
+        cfg = ModelConfig(layers=2, hidden=8, heads=2, vocab_size=32, lora_rank=2,
+                          max_rel_distance=2, boost_mode=boost_mode)
+        model = build_model(cfg, seed=1, dtype=np.float64)
+        rng = np.random.default_rng(12)
+        for name, p in model.params.items():
+            if ".attn." in name:
+                p[:] = rng.standard_normal(p.shape) * 0.5
+        ex = toy_example(n_ctx=12, n_q=3, vocab_size=32, seed=2)
+        assert len(ex) >= 3 * (2 * cfg.max_rel_distance + 1)
+        _, grads = qa_loss_and_grads(model, ex)
+
+        eps = 1e-6
+        worst = 0.0
+        for name, g in sorted(grads.items()):
+            if M.param_group(name) != "lora":
+                continue
+            if ".q.lora_a" in name or ".k.lora_a" in name:
+                assert np.abs(g).max() > 1e-2, name
+            fp = model.params[name].reshape(-1)
+            for i in rng.choice(fp.size, min(6, fp.size), replace=False):
+                orig = fp[i]
+                fp[i] = orig + eps
+                up, _ = qa_loss_and_grads(model, ex)
+                fp[i] = orig - eps
+                down, _ = qa_loss_and_grads(model, ex)
+                fp[i] = orig
+                numeric = (up - down) / (2 * eps)
+                analytic = g.reshape(-1)[i]
+                worst = max(worst, abs(numeric - analytic)
+                            / max(abs(numeric), abs(analytic), 1.0))
+        assert worst < 1e-6
+
+
+class TestRelativePositionCaches:
+    def test_memory_held_after_many_lengths_is_bounded(self):
+        cfg = ModelConfig(layers=1, hidden=16, heads=2, vocab_size=64, lora_rank=2)
+        model = build_model(cfg, seed=0)
+        rng = np.random.default_rng(13)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seq_len in range(240, 358, 3):  # 40 distinct lengths
+                ids = rng.integers(0, 64, size=seq_len)
+                h, caches = encoder_forward(model, ids, np.ones(seq_len), return_caches=True)
+                grads = M.encoder_backward(model, rng.standard_normal(h.shape), caches)
+                del h, caches, grads
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 32 * 2**20, f"{held / 2**20:.1f} MiB still held"
+
 
 class TestFrozenBase:
     def test_base_tensors_bitwise_unchanged_by_training(self):
@@ -469,3 +541,7 @@ class TestCheckpoint:
             ModelConfig(hidden=30, heads=4)
         with pytest.raises(ValueError, match="gate_mode"):
             ModelConfig(gate_mode="bogus")
+        for field, value in (("heads", 0), ("layers", 0), ("hidden", 0), ("lora_rank", 0),
+                             ("max_rel_distance", -1)):
+            with pytest.raises(ValueError, match=f"^{field} must be >= "):
+                ModelConfig(**{field: value})
