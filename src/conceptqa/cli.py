@@ -92,6 +92,8 @@ def _write_manifest(out_dir: Path, command: str, settings: dict,
 
 def _settings(cls, section: str, settings: dict):
     """Build config dataclass ``cls`` from ``settings``, naming any bad key."""
+    if not isinstance(settings, dict):
+        raise ValueError(f"setting {section} must be an object, got {settings!r}")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, value in settings.items():
         if key not in defaults:
@@ -104,9 +106,9 @@ def _settings(cls, section: str, settings: dict):
 
 
 def _model_config(cfg: dict, vocab_size: int | None = None) -> model_mod.ModelConfig:
-    settings = dict(cfg["model"])
-    if vocab_size is not None:
-        settings["vocab_size"] = vocab_size
+    settings = cfg["model"]
+    if vocab_size is not None and isinstance(settings, dict):
+        settings = {**settings, "vocab_size": vocab_size}
     return _settings(model_mod.ModelConfig, "model", settings)
 
 

@@ -271,19 +271,33 @@ def _softmax(s):
 
 
 @lru_cache(maxsize=8)
-def _rel_positions(seq_len: int, max_dist: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flat positions (c2p_at, p2c_at) of the relative-position terms.
+def _rel_positions(seq_len: int, max_dist: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of the relative-position terms for one sequence length.
 
-    With idx[i, j] = clip(j - i, -m, m) + m and P = 2m + 1, score (i, j) reads
-    a_c2p[h] (L, P) at flat i*P + idx[i, j] and a_p2c[h] (P, L) at idx[j, i]*L + j.
-    One example's passes reuse one entry; each entry is 16·L² bytes (2.4 MB at L = 384).
+    Score (i, j) reads bin idx[i, j] = clip(j - i, -m, m) + m of row i of
+    a_c2p[h] (L, P) and bin idx[j, i] of column j of a_p2c[h] (P, L), P = 2m + 1.
+    idx never decreases along a row, so row i of the c2p term is a_c2p[h, i] with
+    bin p repeated ``counts[i, p]`` times, and column j of the p2c term is
+    a_p2c[h, :, j] repeated ``counts[j, :]`` times (``counts`` is stored flat).
+    The backward sums each bin back.  Bins 0 and 2m hold the clipped cells
+    j <= i - m (``lower``, 1.0 there) and j >= i + m (``upper``).  Each inner bin
+    is one diagonal d = j - i, |d| < m, read from an (L, L) array at flat cell
+    (i, i + d) (``c2p_band``) or (j + d, j) (``p2c_band``) if ``band_in``; a cell
+    off the matrix has an out-of-range position, to be clipped and zeroed.
+    An entry holds 8·L² bytes of masks (1.2 MB at L = 384) and O(L·P) the rest.
     """
     pos = np.arange(seq_len)
-    idx = np.clip(pos[None, :] - pos[:, None], -max_dist, max_dist) + max_dist
-    c2p_at, p2c_at = pos[:, None] * (2 * max_dist + 1) + idx, idx.T * seq_len + pos
-    for at in (c2p_at, p2c_at):
-        at.setflags(write=False)  # the cache hands the same arrays to every caller
-    return c2p_at, p2c_at
+    ends = np.clip(pos[:, None] + np.arange(1 - max_dist, max_dist + 2), 0, seq_len)
+    ends[:, -1] = seq_len  # the last bin runs to the end of the row
+    counts = np.diff(ends, axis=1, prepend=0).ravel()
+    diag = pos[:, None] + np.arange(1 - max_dist, max_dist)
+    band_in = (diag >= 0) & (diag < seq_len)
+    c2p_band, p2c_band = pos[:, None] * seq_len + diag, diag * seq_len + pos[:, None]
+    lower = np.tri(seq_len, seq_len, -max_dist, dtype=np.float32)
+    tables = (counts, c2p_band, p2c_band, band_in, lower, lower.T.copy())
+    for table in tables:
+        table.setflags(write=False)  # the cache hands the same arrays to every caller
+    return tables
 
 
 def _split_heads(x, heads):
@@ -324,18 +338,20 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
     qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
     qrh, krh = _split_heads(qr, nh), _split_heads(kr, nh)
 
-    c2c = qh @ kh.transpose(0, 2, 1)
-    # gather at flat positions; _attention_bwd scatter-adds back to them
-    c2p_at, p2c_at = _rel_positions(seq_len, config.max_rel_distance)
-    a_c2p = qh @ krh.transpose(0, 2, 1)                      # (nh, L, P)
-    c2p = np.take(a_c2p.reshape(nh, -1), c2p_at, axis=1)
-    a_p2c = qrh @ kh.transpose(0, 2, 1)                      # (nh, P, L)
-    p2c = np.take(a_p2c.reshape(nh, -1), p2c_at, axis=1)
-
-    s = (c2c + c2p + p2c) / math.sqrt(3.0 * dh)
+    # s = (c2c + c2p + p2c) / sqrt(3 dh), then the softmax, built in place; the
+    # relative terms are their bins repeated along rows (c2p) or columns (p2c)
+    counts = _rel_positions(seq_len, config.max_rel_distance)[0]
+    s = qh @ kh.transpose(0, 2, 1)
+    a_c2p = (qh @ krh.transpose(0, 2, 1)).reshape(nh, -1)                     # (nh, L·P)
+    s += np.repeat(a_c2p, counts, axis=1).reshape(nh, seq_len, seq_len)
+    a_p2c = (qrh @ kh.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(nh, -1)  # (nh, L·P)
+    s += np.repeat(a_p2c, counts, axis=1).reshape(nh, seq_len, seq_len).transpose(0, 2, 1)
+    s /= math.sqrt(3.0 * dh)
     if score_boost is not None:
-        s = s * score_boost[None, None, :]
-    prob = _softmax(s)
+        s *= score_boost[None, None, :]
+    s -= s.max(axis=-1, keepdims=True)
+    prob = np.exp(s, out=s)
+    prob /= prob.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(prob @ vh)
     out, co = _lin_fwd(ctx, wo, bo, ao, bbo, scale)
 
@@ -363,26 +379,37 @@ def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
     dctx2, dao, dbbo = _lin_bwd(dout, wo, ao, bbo, scale, cache["co"])
     dctx = dctx2.reshape(seq_len, nh, dh).transpose(1, 0, 2)
 
-    dprob = dctx @ vh.transpose(0, 2, 1)
+    # softmax adjoint in place: ds = prob * (dprob - rowsum(dprob * prob))
+    ds = dctx @ vh.transpose(0, 2, 1)
     dvh = prob.transpose(0, 2, 1) @ dctx
-    ds = prob * (dprob - (dprob * prob).sum(axis=-1, keepdims=True))
+    ds -= np.einsum("hij,hij->hi", ds, prob)[..., None]
+    ds *= prob
     if cache["score_boost"] is not None:
-        ds = ds * cache["score_boost"][None, None, :]
-    ds = ds / math.sqrt(3.0 * dh)
+        ds *= cache["score_boost"][None, None, :]
+    ds /= math.sqrt(3.0 * dh)
 
     # content-content
     dqh = ds @ kh
     dkh = ds.transpose(0, 2, 1) @ qh
-    # scatter-add, the adjoint of the forward's gather: each score gradient is
-    # summed (float64, in input order) into the flat cell it was read from
-    c2p_at, p2c_at = _rel_positions(seq_len, config.max_rel_distance)
-    cells = seq_len * qrh.shape[1]  # L * P
-    head_at = np.arange(nh)[:, None, None] * cells
-    w = ds.ravel()
-    da_c2p = np.bincount((head_at + c2p_at).ravel(), w, nh * cells).reshape(nh, seq_len, -1)
+    # the adjoint of the forward's repeat, summed in ds's dtype bin by bin: the
+    # two clipped bins are masked row and column sums, the inner bins diagonals
+    m = config.max_rel_distance
+    if m == 0:  # one bin: every cell
+        da_c2p, da_p2c = ds.sum(axis=2)[..., None], ds.sum(axis=1)[:, None]
+    else:
+        _, c2p_band, p2c_band, band_in, lower, upper = _rel_positions(seq_len, m)
+        da_c2p = np.empty((nh, seq_len, 2 * m + 1), ds.dtype)
+        da_p2c = np.empty((nh, 2 * m + 1, seq_len), ds.dtype)
+        np.einsum("hij,ij->hi", ds, lower, out=da_c2p[..., 0])
+        np.einsum("hij,ij->hi", ds, upper, out=da_c2p[..., -1])
+        np.einsum("hij,ij->hj", ds, upper, out=da_p2c[:, 0])
+        np.einsum("hij,ij->hj", ds, lower, out=da_p2c[:, -1])
+        flat = ds.reshape(nh, -1)
+        c2p_in = np.take(flat, c2p_band, axis=1, mode="clip") * band_in
+        p2c_in = np.take(flat, p2c_band, axis=1, mode="clip") * band_in
+        da_c2p[..., 1:-1], da_p2c[:, 1:-1] = c2p_in, p2c_in.transpose(0, 2, 1)
     dqh += da_c2p @ krh
     dkrh = da_c2p.transpose(0, 2, 1) @ qh
-    da_p2c = np.bincount((head_at + p2c_at).ravel(), w, nh * cells).reshape(nh, -1, seq_len)
     dqrh = da_p2c @ kh
     dkh += da_p2c.transpose(0, 2, 1) @ qrh
 
@@ -413,19 +440,6 @@ def _acc(grads: dict, name: str, value: np.ndarray) -> None:
         grads[name] = grads[name] + value
     else:
         grads[name] = value
-
-
-def disentangled_attention(model: EncoderModel, h: np.ndarray, layer: int,
-                           score_boost: np.ndarray | None = None) -> np.ndarray:
-    """One attention sub-layer: multi-head disentangled attention over ``h``
-    followed by the residual connection and LayerNorm."""
-    out, _ = _attention_fwd(h, model.params, layer, model.config, score_boost)
-    h1, _ = _layernorm_fwd(
-        h + out,
-        model.params[f"layer{layer}.ln1.gamma"],
-        model.params[f"layer{layer}.ln1.beta"],
-    )
-    return h1
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,8 @@ class TestExitCodes:
          "stages.0.stage must be one of ['adaptation', 'specialization'], got 'x'"),
         ("split.ratios=oops", "split.ratios"),
         ("split.seed=oops", "split.seed"),
+        ("model=3", "setting model must be an object, got 3"),
+        ("train=3", "setting train must be an object, got 3"),
     ])
     def test_bad_override_is_one(self, workdir, tmp_path, capsys, override, key):
         rc = main(["train", "--data", str(workdir / "flat.json"),

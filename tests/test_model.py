@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -201,15 +202,18 @@ class TestDisentangledAttention:
         out, _ = M._attention_fwd(h, model.params, 0, cfg)
         np.testing.assert_allclose(out, loop_attention(h, model.params, 0, cfg), atol=1e-12)
 
-    def test_public_op_applies_residual_norm(self, small_model):
-        rng = np.random.default_rng(9)
-        h = rng.standard_normal((4, 16))
-        out = M.disentangled_attention(small_model, h, 0)
-        assert out.shape == h.shape
-        attn, _ = M._attention_fwd(h, small_model.params, 0, small_model.config)
-        manual, _ = M._layernorm_fwd(h + attn, small_model.params["layer0.ln1.gamma"],
-                                     small_model.params["layer0.ln1.beta"])
-        np.testing.assert_array_equal(out, manual)
+    def test_sublayer_applies_residual_norm(self):
+        cfg = ModelConfig(layers=1, hidden=16, heads=2, vocab_size=64, lora_rank=4,
+                          max_rel_distance=4, gate_mode="off")
+        model = build_model(cfg, seed=0, dtype=np.float64)
+        ex = toy_example()
+        h = embed(model, ex.token_ids, ex.boost > 1.0)
+        attn, _ = M._attention_fwd(h, model.params, 0, cfg)
+        manual, _ = M._layernorm_fwd(h + attn, model.params["layer0.ln1.gamma"],
+                                     model.params["layer0.ln1.beta"])
+        _, caches = encoder_forward(model, ex.token_ids, ex.boost, return_caches=True)
+        # with the gate off, the gate's input and output is the first sub-layer
+        np.testing.assert_array_equal(caches["layers"][0]["gated"], manual)
 
 
 class TestEncoderForward:
@@ -452,6 +456,94 @@ class TestFullModelGradients:
                 worst = max(worst, abs(numeric - analytic)
                             / max(abs(numeric), abs(analytic), 1.0))
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("max_rel_distance, n_ctx", [(0, 13), (8, 3)])
+    def test_lora_grads_at_the_scatter_edges_match_finite_differences(
+            self, max_rel_distance, n_ctx):
+        # m = 0 puts every score in one relative-position bin; L <= m puts every
+        # score inside the band, so neither clipped bin is ever read.  Boosted
+        # scores keep the row sums of the score gradient away from zero, so the
+        # content-to-position term, constant along a row at m = 0, still feeds K.
+        # Token embeddings and span heads well above the init scale keep the
+        # Q/K lora_a gradients far from zero
+        cfg = ModelConfig(layers=2, hidden=8, heads=2, vocab_size=32, lora_rank=2,
+                          max_rel_distance=max_rel_distance, boost_mode="attention_score")
+        model = build_model(cfg, seed=2, dtype=np.float64)
+        rng = np.random.default_rng(14)
+        for name, p in model.params.items():
+            if ".attn." in name or name.startswith(("heads.", "embed.token_table")):
+                p[...] = rng.standard_normal(p.shape) * 0.5
+        ex = toy_example(n_ctx=n_ctx, n_q=2, vocab_size=32, seed=3)
+        assert max_rel_distance == 0 or len(ex) <= max_rel_distance
+        _, grads = qa_loss_and_grads(model, ex)
+
+        eps = 1e-6
+        worst = 0.0
+        for name, g in sorted(grads.items()):
+            if M.param_group(name) != "lora":
+                continue
+            if ".q.lora_a" in name or ".k.lora_a" in name:
+                assert np.abs(g).max() > 1e-2, name
+            fp = model.params[name].reshape(-1)
+            for i in rng.choice(fp.size, min(6, fp.size), replace=False):
+                orig = fp[i]
+                fp[i] = orig + eps
+                up, _ = qa_loss_and_grads(model, ex)
+                fp[i] = orig - eps
+                down, _ = qa_loss_and_grads(model, ex)
+                fp[i] = orig
+                numeric = (up - down) / (2 * eps)
+                analytic = g.reshape(-1)[i]
+                worst = max(worst, abs(numeric - analytic)
+                            / max(abs(numeric), abs(analytic), 1.0))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("boost_mode", ["residual_gate", "attention_score"])
+    def test_every_gradient_has_its_parameter_dtype(self, dtype, boost_mode):
+        cfg = ModelConfig(layers=2, hidden=8, heads=2, vocab_size=32, lora_rank=2,
+                          max_rel_distance=2, boost_mode=boost_mode)
+        model = build_model(cfg, seed=0, dtype=dtype)
+        ex = toy_example(n_ctx=12, n_q=3, vocab_size=32)
+        _, grads = qa_loss_and_grads(model, ex)
+        assert {M.param_group(k) for k in grads} == set(M.ADAPTABLE_GROUPS)
+        wrong = {k: np.asarray(g).dtype for k, g in grads.items()
+                 if np.asarray(g).dtype != model.params[k].dtype}
+        assert not wrong, wrong
+
+
+def _cached_arrays(node, path="caches"):
+    """(path, dtype, shape, bytes) of every array reachable from an encoder cache."""
+    if isinstance(node, np.ndarray):
+        return [(path, node.dtype, node.shape, node.tobytes())]
+    if dataclasses.is_dataclass(node):
+        node = vars(node)
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, (list, tuple)):
+        items = enumerate(node)
+    else:
+        return []
+    return [leaf for key, child in items for leaf in _cached_arrays(child, f"{path}.{key}")]
+
+
+class TestEncoderBackward:
+    @pytest.mark.parametrize("boost_mode", ["residual_gate", "attention_score"])
+    def test_backward_leaves_the_caches_unchanged(self, boost_mode):
+        cfg = ModelConfig(layers=2, hidden=16, heads=2, vocab_size=64, lora_rank=4,
+                          max_rel_distance=2, boost_mode=boost_mode)
+        model = build_model(cfg, seed=4)
+        ex = toy_example(n_ctx=12, n_q=3)
+        h, caches = encoder_forward(model, ex.token_ids, ex.boost, return_caches=True)
+        before = _cached_arrays(caches)
+        assert any(path.endswith(".prob") for path, *_ in before)
+        dh = np.random.default_rng(15).standard_normal(h.shape).astype(h.dtype)
+        first = M.encoder_backward(model, dh, caches)
+        assert _cached_arrays(caches) == before
+        second = M.encoder_backward(model, dh, caches)
+        assert first.keys() == second.keys()
+        for name in first:
+            assert first[name].tobytes() == second[name].tobytes(), name
 
 
 class TestRelativePositionCaches:
