@@ -30,20 +30,9 @@ from .dictionary import (
 from .tokenizer import load_vocab, save_vocab, train_vocab
 
 DEFAULT_CONFIG = {
-    "model": {
-        "layers": 2, "hidden": 32, "heads": 4, "max_len": 384, "vocab_size": 512,
-        "lora_rank": 8, "lora_alpha": 16.0, "max_rel_distance": 8,
-        "gate_mode": "shared", "boost_mode": "residual_gate", "residual_skip": True,
-        "ffn_multiplier": 4, "max_answer_len": 30,
-    },
-    "train": {
-        "learning_rate": 2e-5, "effective_batch": 4, "warmup_steps": 500,
-        "max_epochs": 50, "patience": 3, "weight_decay": 0.01, "seed": 0,
-    },
-    "stages": [
-        {"stage": "adaptation", "epochs": 10},
-        {"stage": "specialization", "epochs": 20},
-    ],
+    "model": dataclasses.asdict(model_mod.ModelConfig()),
+    "train": dataclasses.asdict(training.TrainConfig()),
+    "stages": [{"stage": s.stage, "epochs": s.epochs} for s in training.default_stages()],
     "split": {"ratios": [0.8, 0.1, 0.1], "seed": 0},
 }
 
@@ -347,7 +336,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, args.set)
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
     model = model_mod.load_checkpoint(args.checkpoint)
@@ -364,7 +352,7 @@ def cmd_eval(args) -> int:
         json.dump(report.predictions, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(table)
-    _write_manifest(out_dir, "eval", {"ablation": args.ablation, **cfg},
+    _write_manifest(out_dir, "eval", {"ablation": args.ablation},
                     [args.data, args.vocab, args.dict, args.checkpoint],
                     [str(out_dir / p) for p in ("report.json", "report.txt",
                                                 "predictions.json")],
@@ -537,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--ablation", choices=evaluation.ABLATION_VARIANTS, default="full")
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", default=[])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="evaluate the four ablation variants")

@@ -82,39 +82,95 @@ def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+_REQUIRED = object()
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+def _field(node: dict, key: str, kinds: tuple[type, ...], where: str, default=_REQUIRED):
+    """``node[key]`` if its JSON type is one of ``kinds``; ``default`` if it is absent.
+
+    Anything else raises ValueError naming ``where``, the location of ``node``
+    ("" for the top level).
+    """
+    if key not in node:
+        if default is _REQUIRED:
+            raise ValueError(f"{where or 'top level'}: missing {key!r}")
+        return default
+    value = node[key]
+    if type(value) not in kinds:
+        raise ValueError(f"{where + '.' if where else ''}{key}: expected "
+                         f"{' or '.join(_JSON_NAMES[k] for k in kinds)}, "
+                         f"got {_JSON_NAMES[type(value)]}")
+    return value
+
+
+def _items(items: list, kind: type, where: str):
+    """(location, item) for each item of a JSON array that must hold ``kind``s."""
+    for n, item in enumerate(items):
+        if type(item) is not kind:
+            raise ValueError(f"{where}[{n}]: expected {_JSON_NAMES[kind]}, "
+                             f"got {_JSON_NAMES[type(item)]}")
+        yield f"{where}[{n}]", item
+
+
+def _read_json_object(path: Path) -> dict:
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    if type(payload) is not dict:
+        raise ValueError(f"{path}: expected a JSON object, got {_JSON_NAMES[type(payload)]}")
+    return payload
+
+
 def ingest_squad(path: str | Path) -> DatasetFile:
     """Flatten a v1.1-style QA JSON file into validated records.
 
     Records whose first answer does not occur at its stated offset are
     rejected (id and reason recorded), never silently dropped; accepted plus
-    rejected counts always equal the input count.
+    rejected counts always equal the input count.  A file that does not have
+    the layout raises ValueError naming the location, e.g.
+    ``data[0].paragraphs[0].qas[1]: missing 'id'``.
     """
     path = Path(path)
+    payload = _read_json_object(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
-    if "data" not in payload:
-        raise ValueError(f"{path}: missing top-level 'data' array")
+        records, rejected = _flatten_squad(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return DatasetFile(
+        records=records,
+        source_path=str(path),
+        content_hash=sha256_file(path),
+        rejected=rejected,
+    )
 
+
+def _flatten_squad(payload: dict) -> tuple[list[DatasetRecord], list[dict]]:
     records: list[DatasetRecord] = []
     rejected: list[dict] = []
     seen_ids: set[str] = set()
-    for article in payload["data"]:
-        for para in article.get("paragraphs", []):
-            context = para["context"]
-            for qa in para.get("qas", []):
-                qa_id = str(qa["id"])
+    for art_at, article in _items(_field(payload, "data", (list,), ""), dict, "data"):
+        paragraphs = _field(article, "paragraphs", (list,), art_at, [])
+        for para_at, para in _items(paragraphs, dict, f"{art_at}.paragraphs"):
+            context = _field(para, "context", (str,), para_at)
+            for qa_at, qa in _items(_field(para, "qas", (list,), para_at, []), dict,
+                                    f"{para_at}.qas"):
+                qa_id = str(_field(qa, "id", (str, int), qa_at))
+                question = _field(qa, "question", (str,), qa_at)
+                answers = _field(qa, "answers", (list, type(None)), qa_at, None) or []
+                texts = [_field(a, "text", (str,), at)
+                         for at, a in _items(answers, dict, f"{qa_at}.answers")]
                 if qa_id in seen_ids:
                     rejected.append({"id": qa_id, "reason": "duplicate id"})
                     continue
                 seen_ids.add(qa_id)
-                answers = qa.get("answers") or []
                 if not answers:
                     rejected.append({"id": qa_id, "reason": "no answers"})
                     continue
-                first = answers[0]
-                text, start = first["text"], int(first["answer_start"])
+                text = texts[0]
+                start = _field(answers[0], "answer_start", (int,), f"{qa_at}.answers[0]")
                 if context[start:start + len(text)] != text:
                     rejected.append(
                         {"id": qa_id, "reason": f"offset {start} does not match answer text"}
@@ -122,18 +178,13 @@ def ingest_squad(path: str | Path) -> DatasetFile:
                     continue
                 records.append(DatasetRecord(
                     id=qa_id,
-                    question=qa["question"],
+                    question=question,
                     context=context,
                     answer_text=text,
                     answer_char_start=start,
-                    all_answers=[a["text"] for a in answers],
+                    all_answers=texts,
                 ))
-    return DatasetFile(
-        records=records,
-        source_path=str(path),
-        content_hash=sha256_file(path),
-        rejected=rejected,
-    )
+    return records, rejected
 
 
 def save_dataset(data: DatasetFile, path: str | Path) -> None:
@@ -145,15 +196,30 @@ def save_dataset(data: DatasetFile, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
+_RECORD_FIELDS = (("id", (str,)), ("question", (str,)), ("context", (str,)),
+                  ("answer_text", (str,)), ("answer_char_start", (int,)))
+
+
 def load_dataset(path: str | Path) -> DatasetFile:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    prov = payload.get("provenance", {})
-    return DatasetFile(
-        records=[DatasetRecord.from_dict(r) for r in payload["records"]],
-        source_path=prov.get("source_path", ""),
-        content_hash=prov.get("content_hash", ""),
-        rejected=payload.get("rejected", []),
-    )
+    """Read a ``save_dataset`` file; a malformed one raises ValueError naming the location."""
+    payload = _read_json_object(Path(path))
+    try:
+        prov = _field(payload, "provenance", (dict,), "", {})
+        records = []
+        for at, rec in _items(_field(payload, "records", (list,), ""), dict, "records"):
+            for key, kinds in _RECORD_FIELDS:
+                _field(rec, key, kinds, at)
+            answers = _field(rec, "all_answers", (list, type(None)), at, None) or []
+            list(_items(answers, str, f"{at}.all_answers"))
+            records.append(DatasetRecord.from_dict(rec))
+        return DatasetFile(
+            records=records,
+            source_path=_field(prov, "source_path", (str,), "provenance", ""),
+            content_hash=_field(prov, "content_hash", (str,), "provenance", ""),
+            rejected=_field(payload, "rejected", (list,), "", []),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def split_dataset(

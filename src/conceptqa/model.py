@@ -20,7 +20,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +64,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name, low in (("layers", 1), ("hidden", 1), ("heads", 1), ("lora_rank", 1),
-                          ("max_rel_distance", 0)):
+                          ("max_rel_distance", 0), ("max_len", 1), ("vocab_size", 1),
+                          ("ffn_multiplier", 1), ("max_answer_len", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.hidden % self.heads != 0:
@@ -270,34 +270,23 @@ def _softmax(s):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@lru_cache(maxsize=8)
-def _rel_positions(seq_len: int, max_dist: int) -> tuple[np.ndarray, ...]:
-    """Read-only tables of the relative-position terms for one sequence length.
+def _rel_runs(seq_len: int, max_dist: int) -> np.ndarray:
+    """Run lengths of the relative-position bins, flat over (L, P), P = 2m + 1.
 
-    Score (i, j) reads bin idx[i, j] = clip(j - i, -m, m) + m of row i of
-    a_c2p[h] (L, P) and bin idx[j, i] of column j of a_p2c[h] (P, L), P = 2m + 1.
-    idx never decreases along a row, so row i of the c2p term is a_c2p[h, i] with
-    bin p repeated ``counts[i, p]`` times, and column j of the p2c term is
-    a_p2c[h, :, j] repeated ``counts[j, :]`` times (``counts`` is stored flat).
-    The backward sums each bin back.  Bins 0 and 2m hold the clipped cells
-    j <= i - m (``lower``, 1.0 there) and j >= i + m (``upper``).  Each inner bin
-    is one diagonal d = j - i, |d| < m, read from an (L, L) array at flat cell
-    (i, i + d) (``c2p_band``) or (j + d, j) (``p2c_band``) if ``band_in``; a cell
-    off the matrix has an out-of-range position, to be clipped and zeroed.
-    An entry holds 8·L² bytes of masks (1.2 MB at L = 384) and O(L·P) the rest.
+    Score (i, j) reads bin clip(j - i, -m, m) + m of row i of the c2p bins
+    a_c2p[h] (L, P) and bin clip(i - j, -m, m) + m of row j of the p2c bins
+    a_p2c[h] (L, P).  The bin never decreases along j, so row i of the c2p term
+    (column j of the p2c term) is row i (row j) of its bins, bin p repeated
+    ``runs[i * P + p]`` times: the clipped bins 0 and 2m run over j <= i - m and
+    j >= i + m, each inner bin over its one diagonal cell, or none off the matrix.
+    The forward is that ``np.repeat``; the backward, its adjoint, sums each run.
     """
-    pos = np.arange(seq_len)
-    ends = np.clip(pos[:, None] + np.arange(1 - max_dist, max_dist + 2), 0, seq_len)
+    ends = np.arange(seq_len)[:, None] + np.arange(1 - max_dist, max_dist + 2)
+    ends = np.minimum(np.maximum(ends, 0), seq_len)  # np.clip, np.diff: 2x slower at small L
     ends[:, -1] = seq_len  # the last bin runs to the end of the row
-    counts = np.diff(ends, axis=1, prepend=0).ravel()
-    diag = pos[:, None] + np.arange(1 - max_dist, max_dist)
-    band_in = (diag >= 0) & (diag < seq_len)
-    c2p_band, p2c_band = pos[:, None] * seq_len + diag, diag * seq_len + pos[:, None]
-    lower = np.tri(seq_len, seq_len, -max_dist, dtype=np.float32)
-    tables = (counts, c2p_band, p2c_band, band_in, lower, lower.T.copy())
-    for table in tables:
-        table.setflags(write=False)  # the cache hands the same arrays to every caller
-    return tables
+    runs = ends.copy()
+    runs[:, 1:] -= ends[:, :-1]
+    return runs.ravel()
 
 
 def _split_heads(x, heads):
@@ -340,12 +329,12 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
 
     # s = (c2c + c2p + p2c) / sqrt(3 dh), then the softmax, built in place; the
     # relative terms are their bins repeated along rows (c2p) or columns (p2c)
-    counts = _rel_positions(seq_len, config.max_rel_distance)[0]
+    runs = _rel_runs(seq_len, config.max_rel_distance)
     s = qh @ kh.transpose(0, 2, 1)
     a_c2p = (qh @ krh.transpose(0, 2, 1)).reshape(nh, -1)                     # (nh, L·P)
-    s += np.repeat(a_c2p, counts, axis=1).reshape(nh, seq_len, seq_len)
+    s += np.repeat(a_c2p, runs, axis=1).reshape(nh, seq_len, seq_len)
     a_p2c = (qrh @ kh.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(nh, -1)  # (nh, L·P)
-    s += np.repeat(a_p2c, counts, axis=1).reshape(nh, seq_len, seq_len).transpose(0, 2, 1)
+    s += np.repeat(a_p2c, runs, axis=1).reshape(nh, seq_len, seq_len).transpose(0, 2, 1)
     s /= math.sqrt(3.0 * dh)
     if score_boost is not None:
         s *= score_boost[None, None, :]
@@ -356,7 +345,7 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
     out, co = _lin_fwd(ctx, wo, bo, ao, bbo, scale)
 
     cache = dict(
-        layer=layer, seq_len=seq_len, score_boost=score_boost,
+        layer=layer, seq_len=seq_len, score_boost=score_boost, runs=runs,
         qh=qh, kh=kh, vh=vh, qrh=qrh, krh=krh, prob=prob,
         cq=cq, ck=ck, cv=cv, cqr=cqr, ckr=ckr, co=co,
     )
@@ -391,23 +380,19 @@ def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
     # content-content
     dqh = ds @ kh
     dkh = ds.transpose(0, 2, 1) @ qh
-    # the adjoint of the forward's repeat, summed in ds's dtype bin by bin: the
-    # two clipped bins are masked row and column sums, the inner bins diagonals
-    m = config.max_rel_distance
-    if m == 0:  # one bin: every cell
-        da_c2p, da_p2c = ds.sum(axis=2)[..., None], ds.sum(axis=1)[:, None]
-    else:
-        _, c2p_band, p2c_band, band_in, lower, upper = _rel_positions(seq_len, m)
-        da_c2p = np.empty((nh, seq_len, 2 * m + 1), ds.dtype)
-        da_p2c = np.empty((nh, 2 * m + 1, seq_len), ds.dtype)
-        np.einsum("hij,ij->hi", ds, lower, out=da_c2p[..., 0])
-        np.einsum("hij,ij->hi", ds, upper, out=da_c2p[..., -1])
-        np.einsum("hij,ij->hj", ds, upper, out=da_p2c[:, 0])
-        np.einsum("hij,ij->hj", ds, lower, out=da_p2c[:, -1])
-        flat = ds.reshape(nh, -1)
-        c2p_in = np.take(flat, c2p_band, axis=1, mode="clip") * band_in
-        p2c_in = np.take(flat, p2c_band, axis=1, mode="clip") * band_in
-        da_c2p[..., 1:-1], da_p2c[:, 1:-1] = c2p_in, p2c_in.transpose(0, 2, 1)
+    # the adjoint of the forward's repeat: each bin's gradient is the sum of its
+    # run, over ds row-major for c2p and transposed for p2c.  reduceat wants every
+    # start below L² and gives an empty run one cell, not 0: clip the starts and
+    # zero the empty runs.  The clip is exact: at m >= 1 only the runs after the
+    # last row's diagonal bin, itself one cell, start at L²; at m = 0 none does.
+    runs = cache["runs"]
+    starts = np.minimum(np.cumsum(runs) - runs, seq_len * seq_len - 1)
+    nonempty = runs > 0
+    da_c2p = np.add.reduceat(ds.reshape(nh, -1), starts, axis=1) * nonempty
+    ds_t = np.ascontiguousarray(ds.transpose(0, 2, 1)).reshape(nh, -1)
+    da_p2c = np.add.reduceat(ds_t, starts, axis=1) * nonempty
+    da_c2p = da_c2p.reshape(nh, seq_len, -1)                      # (nh, L, P)
+    da_p2c = da_p2c.reshape(nh, seq_len, -1).transpose(0, 2, 1)   # (nh, P, L)
     dqh += da_c2p @ krh
     dkrh = da_c2p.transpose(0, 2, 1) @ qh
     dqrh = da_p2c @ kh
@@ -680,9 +665,10 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
 
     Layout: magic "CQAM", u32 format version, u64 header length, header JSON
     (config, seed, dictionary version, tensor table with offsets), then the
-    concatenated row-major little-endian float32 tensor payloads.
+    concatenated row-major little-endian float32 tensor payloads.  Only the
+    config's tensors are written (an ablated model may hold unused gate tensors).
     """
-    names = sorted(model.params)
+    names = sorted(parameter_shapes(model.config))
     tensors = []
     offset = 0
     blobs = []
@@ -713,7 +699,12 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:
-    """Read a ``save_checkpoint`` file; a truncated or inconsistent one raises ValueError."""
+    """Read a ``save_checkpoint`` file.
+
+    A truncated, malformed or inconsistent file raises ValueError naming the file
+    and the header key or tensor at fault.  The tensor table must list exactly
+    the config's tensors, in name order, with their shapes and byte counts.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 16:
         raise ValueError(f"{path}: not a model checkpoint, or cut short of 16 bytes")
@@ -728,21 +719,47 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         header = json.loads(raw[16:16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt header: {exc}") from None
-    unknown = set(header["config"]) - {f.name for f in dataclasses.fields(ModelConfig)}
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header must be an object, got {type(header).__name__}")
+    for key, kind in (("config", dict), ("seed", int), ("dictionary_version", str),
+                      ("tensors", list)):
+        if type(header.get(key)) is not kind:
+            got = repr(header[key])[:60] if key in header else "nothing"
+            raise ValueError(f"{path}: header {key!r} must be {kind.__name__}, got {got}")
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(ModelConfig)}
+    unknown = set(header["config"]) - set(kinds)
     if unknown:
         raise ValueError(f"{path}: unknown config key(s) {sorted(unknown)}")
+    for key, value in header["config"].items():
+        if type(value) is not kinds[key] and (kinds[key], type(value)) != (float, int):
+            raise ValueError(f"{path}: config {key!r} must be {kinds[key].__name__}, "
+                             f"got {value!r}")
+    try:
+        config = ModelConfig(**header["config"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: config: {exc}") from None
+    tensors = header["tensors"]
+    if config.layers > len(tensors):  # each layer has tensors of its own
+        raise ValueError(f"{path}: config has {config.layers} layers but the tensor "
+                         f"table holds only {len(tensors)} tensors")
     body = raw[16 + hlen:]
     params = {}
-    for t in header["tensors"]:
-        start, stop = t["offset"], t["offset"] + t["nbytes"]
-        where = f"{path}: tensor {t['name']!r} at body bytes [{start}, {stop})"
-        if t["nbytes"] != 4 * math.prod(t["shape"]):
-            raise ValueError(f"{where}: {t['nbytes']} bytes for shape {t['shape']}")
-        if start < 0 or stop > len(body):
-            raise ValueError(f"{where}: the body has {len(body)} bytes")
-        arr = np.frombuffer(body[start:stop], dtype="<f4")
-        params[t["name"]] = arr.reshape(t["shape"]).copy()
-    config = ModelConfig(**header["config"])
+    for n, (name, shape) in enumerate(sorted(parameter_shapes(config).items())):
+        nbytes = 4 * math.prod(shape)
+        t = tensors[n] if n < len(tensors) else None
+        if not isinstance(t, dict) or (t.get("name"), t.get("shape"), t.get("nbytes")) \
+                != (name, list(shape), nbytes):
+            raise ValueError(f"{path}: tensor table entry {n} must be {name!r} with "
+                             f"{nbytes} bytes for shape {list(shape)}, got {t!r}")
+        start = t.get("offset")
+        if type(start) is not int or start < 0 or start + nbytes > len(body):
+            raise ValueError(f"{path}: tensor {name!r} at body offset {start!r}: "
+                             f"the body has {len(body)} bytes")
+        arr = np.frombuffer(body[start:start + nbytes], dtype="<f4")
+        params[name] = arr.reshape(shape).copy()
+    if len(tensors) != len(params):
+        raise ValueError(f"{path}: the tensor table has {len(tensors)} entries, "
+                         f"the config {len(params)} tensors")
     return EncoderModel(config=config, params=params, seed=header["seed"],
                         dictionary_version=header["dictionary_version"])
 

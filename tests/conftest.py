@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 import conceptqa as cq
 from conceptqa import data as data_mod
@@ -48,3 +49,32 @@ def memorized():
     model = training.train_epochs_simple(model, encoded, tcfg, max_steps=200,
                                          total_steps=200)
     return model, encoded, vocab, dictionary
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+def _mutate_json(data, node):
+    """``node`` with one entry, found by descending from the root, replaced or deleted."""
+    if not isinstance(node, (dict, list)) or not node or data.draw(st.integers(0, 9)) == 0:
+        return data.draw(_JSON_VALUES)
+    key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    action = data.draw(st.sampled_from(["descend", "replace", "delete"]))
+    if action == "descend":
+        node[key] = _mutate_json(data, node[key])
+    elif action == "replace":
+        node[key] = data.draw(_JSON_VALUES)
+    else:
+        del node[key]
+    return node
+
+
+@pytest.fixture(scope="session")
+def mutate_json():
+    """``_mutate_json``: one random replacement or deletion inside a JSON document."""
+    return _mutate_json

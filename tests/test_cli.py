@@ -224,6 +224,19 @@ class TestTrainEvalPredict:
          "bytes for shape"),
         (lambda h: h["tensors"][-1].update(offset=h["tensors"][-1]["offset"] + 4),
          "the body has"),
+        (lambda h: h["tensors"].pop(),
+         "tensor table entry 34 must be 'layer0.ln2.gamma' with 64 bytes for shape [16], "
+         "got None"),
+        (lambda h: h["tensors"][0].update(shape=[2, 2]),
+         "tensor table entry 0 must be 'embed.domain_projection' with 1024 bytes for shape "
+         "[16, 16], got"),
+        (lambda h: h["tensors"][0].update(offset=0.0),
+         "tensor 'embed.domain_projection' at body offset 0.0: the body has"),
+        (lambda h: h.update(config=3), "header 'config' must be dict, got 3"),
+        (lambda h: h["config"].update(layers="2"), "config 'layers' must be int, got '2'"),
+        (lambda h: h.pop("tensors"), "header 'tensors' must be list, got nothing"),
+        (lambda h: h.update(tensors=h["tensors"] + h["tensors"][:1]),
+         "the tensor table has 36 entries, the config 35 tensors"),
     ])
     def test_predict_rejects_inconsistent_checkpoint(self, workdir, trained, tmp_path,
                                                      capsys, edit, message):
@@ -241,6 +254,19 @@ class TestTrainEvalPredict:
                    "--out", str(tmp_path / "preds.json")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    def test_predict_rejects_non_object_header(self, workdir, trained, tmp_path, capsys):
+        raw = (trained / "checkpoint.bin").read_bytes()
+        hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+        bad = tmp_path / "list.bin"
+        bad.write_bytes(raw[:8] + np.uint64(2).tobytes() + b"[]" + raw[16 + hlen:])
+        rc = main(["predict", "--checkpoint", str(bad),
+                   "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out", str(tmp_path / "preds.json")])
+        assert rc == 1
+        assert f"{bad}: header must be an object, got list" in capsys.readouterr().err
 
     def test_ablate_with_pretrained_checkpoints(self, workdir, trained, capsys):
         ckpt_dir = workdir / "variants"
@@ -335,6 +361,36 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path / "run"), "--set", override])
         assert rc == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ("3", "expected a JSON object, got integer"),
+        ('{"data": {}}', "data: expected array, got object"),
+        ('{"data": [{"paragraphs": [{"context": "a b", "qas": [{"id": "q", '
+         '"question": "a", "answers": 5}]}]}]}',
+         "data[0].paragraphs[0].qas[0].answers: expected array or null, got integer"),
+        ('{"data": [{"paragraphs": [{"qas": []}]}]}',
+         "data[0].paragraphs[0]: missing 'context'"),
+        ('{"data": [{"paragraphs": [{"context": "a", "qas": [{"question": "a"}]}]}]}',
+         "data[0].paragraphs[0].qas[0]: missing 'id'"),
+    ])
+    def test_malformed_qa_file_is_one(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "raw.json"
+        path.write_text(raw, encoding="utf-8")
+        rc = main(["data", "ingest", "--in", str(path), "--out", str(tmp_path / "flat.json")])
+        assert rc == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ("[]", "expected a JSON object, got array"),
+        ('{"records": [{"id": "q"}]}', "records[0]: missing 'question'"),
+    ])
+    def test_malformed_dataset_file_is_one(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "flat.json"
+        path.write_text(raw, encoding="utf-8")
+        rc = main(["vocab", "train", "--data", str(path), "--size", "64",
+                   "--out", str(tmp_path / "vocab.json")])
+        assert rc == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
 
     def test_config_override_flags_win(self, workdir, tmp_path, capsys):
         out = tmp_path / "s.json"

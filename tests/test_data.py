@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conceptqa import synthetic
 from conceptqa.data import (
@@ -79,6 +82,49 @@ class TestIngest:
         path.write_text(json.dumps(payload), encoding="utf-8")
         dataset = ingest_squad(path)
         assert any(r["reason"] == "duplicate id" for r in dataset.rejected)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["data"][0]["paragraphs"][0].pop("context"),
+         "data[0].paragraphs[0]: missing 'context'"),
+        (lambda p: p["data"][0]["paragraphs"][0]["qas"][1].pop("id"),
+         "data[0].paragraphs[0].qas[1]: missing 'id'"),
+        (lambda p: p["data"][0]["paragraphs"][1]["qas"][0].pop("question"),
+         "data[0].paragraphs[1].qas[0]: missing 'question'"),
+        (lambda p: p["data"][0]["paragraphs"][0]["qas"][0].update(answers=5),
+         "data[0].paragraphs[0].qas[0].answers: expected array or null, got integer"),
+        (lambda p: p.update(data={}), "data: expected array, got object"),
+        (lambda p: p.pop("data"), "top level: missing 'data'"),
+    ])
+    def test_malformed_layout_names_the_location(self, tmp_path, edit, message):
+        payload = squad_payload()
+        edit(payload)
+        path = tmp_path / "squad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            ingest_squad(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_ingests_or_raises_value_error(self, mutate_json, data):
+        payload = squad_payload()
+        for _ in range(data.draw(st.integers(1, 3))):
+            payload = mutate_json(data, payload)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "squad.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            try:
+                dataset = ingest_squad(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+            else:
+                for r in dataset.records:
+                    assert r.context[r.answer_char_start:][:len(r.answer_text)] \
+                        == r.answer_text
+                    assert all(type(a) is str for a in r.all_answers)
+                out = Path(tmp) / "flat.json"
+                save_dataset(dataset, out)
+                assert load_dataset(out).records == dataset.records
 
     def test_round_trip_dataset_file(self, tmp_path):
         path = tmp_path / "squad.json"

@@ -1,10 +1,14 @@
 import dataclasses
 import gc
+import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conceptqa import model as M
 from conceptqa.evaluation import NO_GATING, NO_ICD, ablated_model
@@ -546,6 +550,56 @@ class TestEncoderBackward:
             assert first[name].tobytes() == second[name].tobytes(), name
 
 
+class TestAttentionBackward:
+    @settings(max_examples=40, deadline=None)
+    @given(seq_len=st.integers(1, 24), max_dist=st.integers(0, 6), seed=st.integers(0, 2**16))
+    @example(seq_len=1, max_dist=0, seed=0)
+    @example(seq_len=1, max_dist=1, seed=0)
+    @example(seq_len=3, max_dist=6, seed=0)
+    @example(seq_len=24, max_dist=1, seed=0)
+    def test_gradients_match_finite_differences(self, seq_len, max_dist, seed):
+        # every relative-position bin, empty runs and clipped starts included,
+        # feeds the input gradient and the Q/K LoRA gradients of one sub-layer.
+        # LoRA scale 1 and attention tensors at 0.3 keep the softmax unsaturated
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2,
+                          lora_alpha=2.0, max_rel_distance=max_dist,
+                          boost_mode="attention_score")
+        params = build_model(cfg, seed=0, dtype=np.float64).params
+        rng = np.random.default_rng(seed)
+        for name, p in params.items():
+            if ".attn." in name:
+                p[...] = rng.standard_normal(p.shape) * 0.3
+        h = rng.standard_normal((seq_len, cfg.hidden))
+        boost = rng.uniform(1.0, 2.0, seq_len)
+        dout = rng.standard_normal((seq_len, cfg.hidden))
+
+        def loss():
+            return float(np.sum(M._attention_fwd(h, params, 0, cfg, boost)[0] * dout))
+
+        _, cache = M._attention_fwd(h, params, 0, cfg, boost)
+        grads = {}
+        analytic = {"h": M._attention_bwd(dout, cache, params, cfg, grads)}
+        probed = {"h": h}
+        for name in ("layer0.attn.q.lora_a", "layer0.attn.q.lora_b",
+                     "layer0.attn.k.lora_a", "layer0.attn.k.lora_b"):
+            analytic[name], probed[name] = grads[name], params[name]
+
+        eps = 1e-6
+        worst = 0.0
+        for name, x in probed.items():
+            flat, g = x.reshape(-1), analytic[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                up = loss()
+                flat[i] = orig - eps
+                down = loss()
+                flat[i] = orig
+                numeric = (up - down) / (2 * eps)
+                worst = max(worst, abs(numeric - g[i]) / max(abs(numeric), abs(g[i]), 1.0))
+        assert worst < 1e-6
+
+
 class TestRelativePositionCaches:
     def test_memory_held_after_many_lengths_is_bounded(self):
         cfg = ModelConfig(layers=1, hidden=16, heads=2, vocab_size=64, lora_rank=2)
@@ -628,12 +682,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a model checkpoint"):
             load_checkpoint(path)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_header_loads_consistently_or_raises_value_error(self, mutate_json, data):
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.bin"
+            save_checkpoint(build_model(cfg, seed=5), path)
+            raw = path.read_bytes()
+            hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+            header = json.loads(raw[16:16 + hlen])
+            for _ in range(data.draw(st.integers(1, 3))):
+                header = mutate_json(data, header)
+            blob = json.dumps(header).encode("utf-8")
+            path.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + hlen:])
+            try:
+                model = load_checkpoint(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+            else:
+                shapes = parameter_shapes(model.config)
+                assert {name: p.shape for name, p in model.params.items()} == shapes
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(hidden=30, heads=4)
         with pytest.raises(ValueError, match="gate_mode"):
             ModelConfig(gate_mode="bogus")
         for field, value in (("heads", 0), ("layers", 0), ("hidden", 0), ("lora_rank", 0),
-                             ("max_rel_distance", -1)):
+                             ("max_rel_distance", -1), ("max_len", 0), ("vocab_size", 0),
+                             ("ffn_multiplier", 0), ("max_answer_len", 0)):
             with pytest.raises(ValueError, match=f"^{field} must be >= "):
                 ModelConfig(**{field: value})
