@@ -31,7 +31,6 @@ from .model import (
     embed,
     encoder_forward,
     load_checkpoint,
-    lora_apply,
     predict_span,
     qa_forward,
     save_checkpoint,
@@ -52,12 +51,11 @@ from .training import (
     TrainHistory,
     augment_synonym,
     default_stages,
-    kfold_split,
     lr_schedule,
     optimizer_step,
     train_two_stage,
 )
-from .metrics import bleu, embed_score, exact_match, normalize_answer, rouge_l, token_f1
+from .metrics import bleu, embed_score, normalize_answer, rouge_l, token_f1
 from .evaluation import (
     ABLATION_VARIANTS,
     FULL,

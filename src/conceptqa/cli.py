@@ -27,6 +27,7 @@ from .dictionary import (
     load_dictionary,
     save_dictionary,
 )
+from .text import read_json_object
 from .tokenizer import load_vocab, save_vocab, train_vocab
 
 DEFAULT_CONFIG = {
@@ -40,9 +41,10 @@ DEFAULT_CONFIG = {
 def _load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
-        user = json.loads(Path(path).read_text(encoding="utf-8"))
-        for key, value in user.items():
-            if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        for key, value in read_json_object(Path(path)).items():
+            if key not in cfg:
+                raise ValueError(f"{path}: unknown settings section {key!r}")
+            if isinstance(value, dict) and isinstance(cfg[key], dict):
                 cfg[key].update(value)
             else:
                 cfg[key] = value
@@ -52,6 +54,8 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         dotted, raw = item.split("=", 1)
         node = cfg
         parts = dotted.split(".")
+        if parts[0] not in cfg:
+            raise ValueError(f"override {dotted!r}: unknown settings section {parts[0]!r}")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
@@ -79,26 +83,11 @@ def _write_manifest(out_dir: Path, command: str, settings: dict,
         fh.write("\n")
 
 
-def _settings(cls, section: str, settings: dict):
-    """Build config dataclass ``cls`` from ``settings``, naming any bad key."""
-    if not isinstance(settings, dict):
-        raise ValueError(f"setting {section} must be an object, got {settings!r}")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    for key, value in settings.items():
-        if key not in defaults:
-            raise ValueError(f"unknown setting {section}.{key}")
-        kinds = (int, float) if type(defaults[key]) is float else (type(defaults[key]),)
-        if type(value) not in kinds:
-            raise ValueError(f"setting {section}.{key} must be {kinds[-1].__name__}, "
-                             f"got {value!r}")
-    return cls(**settings)
-
-
 def _model_config(cfg: dict, vocab_size: int | None = None) -> model_mod.ModelConfig:
     settings = cfg["model"]
     if vocab_size is not None and isinstance(settings, dict):
         settings = {**settings, "vocab_size": vocab_size}
-    return _settings(model_mod.ModelConfig, "model", settings)
+    return model_mod.read_config(model_mod.ModelConfig, settings, "setting", "model")
 
 
 def _stages(cfg: dict) -> list[training.StageConfig]:
@@ -150,7 +139,7 @@ def _split(cfg: dict) -> tuple[tuple[float, float, float], int]:
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
-    return _settings(training.TrainConfig, "train", cfg["train"])
+    return model_mod.read_config(training.TrainConfig, cfg["train"], "setting", "train")
 
 
 def _check_dictionary_version(model: model_mod.EncoderModel, dictionary) -> None:
@@ -296,12 +285,6 @@ def cmd_vocab_train(args) -> int:
     return 0
 
 
-def _load_and_encode(path, vocab, dictionary, max_len):
-    dataset = data_mod.load_dataset(path)
-    encoded, stats = data_mod.encode_dataset(dataset.records, vocab, dictionary, max_len)
-    return encoded, stats
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.set)
     vocab = load_vocab(args.vocab)
@@ -340,7 +323,9 @@ def cmd_eval(args) -> int:
     dictionary = load_dictionary(args.dict)
     model = model_mod.load_checkpoint(args.checkpoint)
     _check_dictionary_version(model, dictionary)
-    encoded, _ = _load_and_encode(args.data, vocab, dictionary, model.config.max_len)
+    dataset = data_mod.load_dataset(args.data)
+    encoded, _ = data_mod.encode_dataset(dataset.records, vocab, dictionary,
+                                         model.config.max_len)
     report = evaluation.evaluate(model, encoded, ablation=args.ablation, vocab=vocab,
                                  dictionary=dictionary)
     out_dir = Path(args.out_dir)
@@ -412,7 +397,9 @@ def cmd_predict(args) -> int:
     dictionary = load_dictionary(args.dict)
     model = model_mod.load_checkpoint(args.checkpoint)
     _check_dictionary_version(model, dictionary)
-    encoded, _ = _load_and_encode(args.data, vocab, dictionary, model.config.max_len)
+    dataset = data_mod.load_dataset(args.data)
+    encoded, _ = data_mod.encode_dataset(dataset.records, vocab, dictionary,
+                                         model.config.max_len)
     preds = evaluation.predict_all(model, encoded, vocab, ablation=args.ablation)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(preds, fh, indent=1, sort_keys=True)

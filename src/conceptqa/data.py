@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import ConceptDictionary
+from .text import JSON_NAMES, read_json_object
 from .tokenizer import (
     DEFAULT_MAX_LEN,
     TokenizedExample,
@@ -83,8 +84,6 @@ def sha256_file(path: str | Path) -> str:
 
 
 _REQUIRED = object()
-_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
-               float: "number", bool: "boolean", type(None): "null"}
 
 
 def _field(node: dict, key: str, kinds: tuple[type, ...], where: str, default=_REQUIRED):
@@ -100,8 +99,8 @@ def _field(node: dict, key: str, kinds: tuple[type, ...], where: str, default=_R
     value = node[key]
     if type(value) not in kinds:
         raise ValueError(f"{where + '.' if where else ''}{key}: expected "
-                         f"{' or '.join(_JSON_NAMES[k] for k in kinds)}, "
-                         f"got {_JSON_NAMES[type(value)]}")
+                         f"{' or '.join(JSON_NAMES[k] for k in kinds)}, "
+                         f"got {JSON_NAMES[type(value)]}")
     return value
 
 
@@ -109,19 +108,9 @@ def _items(items: list, kind: type, where: str):
     """(location, item) for each item of a JSON array that must hold ``kind``s."""
     for n, item in enumerate(items):
         if type(item) is not kind:
-            raise ValueError(f"{where}[{n}]: expected {_JSON_NAMES[kind]}, "
-                             f"got {_JSON_NAMES[type(item)]}")
+            raise ValueError(f"{where}[{n}]: expected {JSON_NAMES[kind]}, "
+                             f"got {JSON_NAMES[type(item)]}")
         yield f"{where}[{n}]", item
-
-
-def _read_json_object(path: Path) -> dict:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
-    if type(payload) is not dict:
-        raise ValueError(f"{path}: expected a JSON object, got {_JSON_NAMES[type(payload)]}")
-    return payload
 
 
 def ingest_squad(path: str | Path) -> DatasetFile:
@@ -134,7 +123,7 @@ def ingest_squad(path: str | Path) -> DatasetFile:
     ``data[0].paragraphs[0].qas[1]: missing 'id'``.
     """
     path = Path(path)
-    payload = _read_json_object(path)
+    payload = read_json_object(path)
     try:
         records, rejected = _flatten_squad(payload)
     except ValueError as exc:
@@ -202,7 +191,7 @@ _RECORD_FIELDS = (("id", (str,)), ("question", (str,)), ("context", (str,)),
 
 def load_dataset(path: str | Path) -> DatasetFile:
     """Read a ``save_dataset`` file; a malformed one raises ValueError naming the location."""
-    payload = _read_json_object(Path(path))
+    payload = read_json_object(Path(path))
     try:
         prov = _field(payload, "provenance", (dict,), "", {})
         records = []
@@ -301,24 +290,3 @@ def dump_encoded_jsonl(encoded: list[EncodedExample], path: str | Path) -> None:
                 "word_piece_counts": ex.word_piece_counts,
                 "gold_texts": enc.gold_texts,
             }, sort_keys=True) + "\n")
-
-
-def load_encoded_jsonl(path: str | Path) -> list[EncodedExample]:
-    out: list[EncodedExample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            d = json.loads(line)
-            ex = TokenizedExample(
-                token_ids=np.asarray(d["token_ids"], dtype=np.int32),
-                segment_flags=np.asarray(d["segment_flags"], dtype=np.int8),
-                word_index=np.asarray(d["word_index"], dtype=np.int32),
-                boost=np.asarray(d["boost"], dtype=np.float64),
-                gold_span=tuple(d["gold_span"]) if d["gold_span"] else None,
-                truncated=d["truncated"],
-                words=d["words"],
-                n_question_words=d["n_question_words"],
-                context_word_spans=[tuple(s) for s in d["context_word_spans"]],
-                word_piece_counts=d["word_piece_counts"],
-            )
-            out.append(EncodedExample(id=d["id"], example=ex, gold_texts=d["gold_texts"]))
-    return out

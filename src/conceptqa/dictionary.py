@@ -97,13 +97,11 @@ def boost_factor(importance: float) -> float:
 def compute_importance(
     term_freqs: dict[str, int],
     weights: dict[str, float] | None = None,
-    stats: dict | None = None,
 ) -> dict[str, float]:
     """Importance scores from raw occurrence counts and scholarly weights.
 
     IS(t) = log(f_t + 1) / max_j log(f_j + 1) * w(t), clamped to [0, 1].
-    Missing weights default to 1.0.  The number of clamped terms is logged
-    and written into ``stats["clamped"]`` when a stats dict is supplied.
+    Missing weights default to 1.0.  The number of clamped terms is logged.
     """
     if not term_freqs:
         raise ValueError("empty corpus")
@@ -126,8 +124,6 @@ def compute_importance(
         scores[term] = min(1.0, max(0.0, raw))
     if clamped:
         log.warning("importance scores clamped to [0, 1] for %d term(s)", clamped)
-    if stats is not None:
-        stats["clamped"] = clamped
     return scores
 
 

@@ -40,9 +40,6 @@ class GateParams:
     def d(self) -> int:
         return self.w.shape[0]
 
-    def copy(self) -> "GateParams":
-        return GateParams(self.w.copy(), self.b.copy())
-
 
 @dataclass
 class GateCache:
@@ -57,14 +54,6 @@ class GateGrads:
     dx: np.ndarray  # (L, d)
     dw: np.ndarray  # (d, d)
     db: np.ndarray  # (d,)
-
-
-def init_gate_params(d: int, rng: np.random.Generator, scale: float = 0.02,
-                     dtype=np.float32) -> GateParams:
-    return GateParams(
-        w=(rng.standard_normal((d, d)) * scale).astype(dtype),
-        b=np.zeros(d, dtype=dtype),
-    )
 
 
 def gate_forward(

@@ -28,14 +28,6 @@ def normalize_answer(text: str) -> list[str]:
     return [w for w in normalize_text(text).split() if w and w not in ARTICLES]
 
 
-def exact_match(pairs: list[tuple[str, str]]) -> float:
-    """Percentage of pairs whose normalized prediction equals the gold answer."""
-    if not pairs:
-        raise ValueError("empty pair list")
-    hits = sum(normalize_answer(p) == normalize_answer(g) for p, g in pairs)
-    return 100.0 * hits / len(pairs)
-
-
 def token_f1(pred: str, gold: str) -> float:
     """Multiset token-overlap F1 = 2PR / (P + R)."""
     p_toks = normalize_answer(pred)
@@ -154,17 +146,3 @@ def embed_score(pairs: list[tuple[str, str]], embedder: Embedder) -> float:
         scores.append(greedy_match_f1(embedder(p_toks), embedder(g_toks)))
     return float(np.mean(scores))
 
-
-def hash_embedder(dim: int = 16, seed: int = 0) -> Embedder:
-    """Deterministic pseudo-random unit embedding per token (test fallback)."""
-    import hashlib
-
-    def embed_tokens(tokens: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(tokens), dim))
-        for i, tok in enumerate(tokens):
-            digest = hashlib.sha256(f"{seed}:{tok}".encode()).digest()
-            rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-            v = rng.standard_normal(dim)
-            out[i] = v / np.linalg.norm(v)
-        return out
-    return embed_tokens

@@ -84,6 +84,30 @@ class ModelConfig:
         return self.lora_alpha / self.lora_rank
 
 
+def read_config(cls, values, kind: str, section: str = ""):
+    """``cls(**values)`` for config dataclass ``cls``, with ``values`` read from JSON.
+
+    Each value must have the exact type of its field's default; an int stands
+    for a float.  A non-object, an unknown key or a wrong type raises ValueError
+    naming ``{kind} '{section}.{key}'``, e.g. "setting 'model.hidden' must be int".
+    """
+    where = f"{kind} {section}" if section else kind
+    if type(values) is not dict:
+        raise ValueError(f"{where} must be an object, got {values!r}")
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    for key, value in values.items():
+        label = f"{section}.{key}" if section else key
+        if key not in kinds:
+            raise ValueError(f"unknown {kind} key {label!r}")
+        if type(value) is not kinds[key] and (kinds[key], type(value)) != (float, int):
+            raise ValueError(f"{kind} {label!r} must be {kinds[key].__name__}, "
+                             f"got {value!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 @dataclass
 class EncoderModel:
     config: ModelConfig
@@ -197,24 +221,6 @@ def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32,
 # ---------------------------------------------------------------------------
 # primitive ops (forward + backward pairs)
 # ---------------------------------------------------------------------------
-
-def lora_apply(base: np.ndarray, lora_a: np.ndarray, lora_b: np.ndarray,
-               scale: float, x: np.ndarray) -> np.ndarray:
-    """x @ (base + scale * A @ B) computed without materializing the update.
-
-    The base matrix is never modified; with B = 0 the output equals the
-    plain projection exactly.
-    """
-    x = np.asarray(x)
-    if x.shape[-1] != base.shape[0]:
-        raise ValueError(f"input width {x.shape[-1]} does not match base {base.shape}")
-    if lora_a.shape[0] != base.shape[0] or lora_b.shape[1] != base.shape[1] \
-            or lora_a.shape[1] != lora_b.shape[0]:
-        raise ValueError(
-            f"rank mismatch: A {lora_a.shape}, B {lora_b.shape} for base {base.shape}"
-        )
-    return _lin_fwd(x, base, None, lora_a, lora_b, scale)[0]
-
 
 def _lin_fwd(x, w, b, a, bb, scale):
     xa = x @ a
@@ -459,7 +465,6 @@ def encoder_forward(
     token_ids: np.ndarray,
     boost: np.ndarray,
     return_caches: bool = False,
-    debug_checks: bool = False,
 ):
     """Run the full encoder stack; returns final hidden states (L, d).
 
@@ -499,8 +504,6 @@ def encoder_forward(
         h, ln2_cache = _layernorm_fwd(
             gated + ffn_out, params[f"layer{layer}.ln2.gamma"], params[f"layer{layer}.ln2.beta"]
         )
-        if debug_checks and not np.isfinite(h).all():
-            raise FloatingPointError(f"non-finite hidden state after layer {layer}")
         caches["layers"].append(
             dict(attn=attn_cache, ln1=ln1_cache, gate=gate_cache,
                  gelu=gelu_cache, gated=gated, ln2=ln2_cache)
@@ -726,18 +729,10 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         if type(header.get(key)) is not kind:
             got = repr(header[key])[:60] if key in header else "nothing"
             raise ValueError(f"{path}: header {key!r} must be {kind.__name__}, got {got}")
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(ModelConfig)}
-    unknown = set(header["config"]) - set(kinds)
-    if unknown:
-        raise ValueError(f"{path}: unknown config key(s) {sorted(unknown)}")
-    for key, value in header["config"].items():
-        if type(value) is not kinds[key] and (kinds[key], type(value)) != (float, int):
-            raise ValueError(f"{path}: config {key!r} must be {kinds[key].__name__}, "
-                             f"got {value!r}")
     try:
-        config = ModelConfig(**header["config"])
+        config = read_config(ModelConfig, header["config"], "config")
     except ValueError as exc:
-        raise ValueError(f"{path}: config: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     tensors = header["tensors"]
     if config.layers > len(tensors):  # each layer has tensors of its own
         raise ValueError(f"{path}: config has {config.layers} layers but the tensor "

@@ -174,30 +174,3 @@ def write_squad(data: DatasetFile, path: str | Path) -> None:
     Path(path).write_text(json.dumps(to_squad_payload(data), indent=1) + "\n",
                           encoding="utf-8")
 
-
-def default_synonym_table() -> dict[str, list[str]]:
-    """Replacement candidates for pad-sentence words (never concept terms)."""
-    return {
-        "gathering": ["assembly", "meeting"],
-        "quietly": ["calmly", "softly"],
-        "evening": ["night", "dusk"],
-        "caravan": ["convoy", "procession"],
-        "valley": ["plain", "basin"],
-        "students": ["pupils", "learners"],
-        "carefully": ["attentively", "diligently"],
-        "gently": ["softly", "lightly"],
-        "courtyard": ["yard", "plaza"],
-        "travelers": ["wayfarers", "pilgrims"],
-        "market": ["bazaar", "square"],
-        "teacher": ["instructor", "elder"],
-        "manuscript": ["codex", "scroll"],
-        "children": ["youngsters", "youths"],
-        "doorway": ["entrance", "threshold"],
-        "lamps": ["lanterns", "lights"],
-        "breeze": ["wind", "draft"],
-        "windows": ["shutters", "openings"],
-        "scribes": ["copyists", "writers"],
-        "visitors": ["guests", "callers"],
-        "towns": ["villages", "cities"],
-        "morning": ["dawn", "daybreak"],
-    }

@@ -1,4 +1,4 @@
-"""Text normalization shared by the tokenizer, the concept dictionary and the metrics.
+"""Text normalization and the JSON-object file reader, shared across the package.
 
 Normalization is deliberately simple and deterministic: lowercase, map a small
 transliteration table (so e.g. "Ṣaḥīḥ" and "sahih" compare equal), strip
@@ -7,7 +7,9 @@ punctuation, collapse whitespace.
 
 from __future__ import annotations
 
+import json
 import re
+from pathlib import Path
 
 # Minimal transliteration fixture for romanized classical-Arabic spellings.
 # Keys are single characters; values are plain ASCII replacements.
@@ -54,3 +56,18 @@ def words_with_spans(text: str) -> list[tuple[str, int, int]]:
     bookkeeping even though the word content is later normalized.
     """
     return [(m.group(0), m.start(), m.end()) for m in re.finditer(r"\S+", text)]
+
+
+JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
+              float: "number", bool: "boolean", type(None): "null"}
+
+
+def read_json_object(path: Path) -> dict:
+    """The JSON object in file ``path``; anything else raises ValueError naming the file."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    if type(payload) is not dict:
+        raise ValueError(f"{path}: expected a JSON object, got {JSON_NAMES[type(payload)]}")
+    return payload

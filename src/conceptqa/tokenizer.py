@@ -13,13 +13,15 @@ source word so that a word-level boost factor can be spread over its pieces.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .dictionary import ConceptDictionary
-from .text import normalize_words, words_with_spans
+from .text import normalize_words, read_json_object, words_with_spans
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
@@ -49,14 +51,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.pieces)
-
-    @property
-    def pad_id(self) -> int:
-        return self.piece_to_id[PAD]
-
-    @property
-    def unk_id(self) -> int:
-        return self.piece_to_id[UNK]
 
     @property
     def cls_id(self) -> int:
@@ -108,17 +102,19 @@ class Vocab:
 
 
 def save_vocab(vocab: Vocab, path) -> None:
-    import json
-    from pathlib import Path
     Path(path).write_text(json.dumps({"pieces": vocab.pieces}, indent=0) + "\n",
                           encoding="utf-8")
 
 
 def load_vocab(path) -> Vocab:
-    import json
-    from pathlib import Path
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Vocab(pieces=list(payload["pieces"]))
+    """Read a ``save_vocab`` file; a malformed one raises ValueError naming the file."""
+    pieces = read_json_object(Path(path)).get("pieces")
+    if type(pieces) is not list or not all(type(p) is str for p in pieces):
+        raise ValueError(f"{path}: 'pieces' must be an array of strings")
+    try:
+        return Vocab(pieces=pieces)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def train_vocab(corpus: list[str], target_size: int) -> Vocab:

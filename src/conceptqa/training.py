@@ -1,5 +1,5 @@
-"""Two-stage fine-tuning: warmup schedule, AdamW, early stopping, k-fold,
-and concept-preserving synonym augmentation.
+"""Two-stage fine-tuning: warmup schedule, AdamW, early stopping and
+concept-preserving synonym augmentation.
 
 Stage 1 adapts the LoRA adapters and span heads with a neutral boost vector;
 stage 2 switches the concept boost on and additionally trains the gate and
@@ -149,23 +149,6 @@ def optimizer_step(
         update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
         p -= lr * (update + cfg.weight_decay * p)
     return params, state
-
-
-def kfold_split(dataset: list, k: int = 5, seed: int = 0) -> list[tuple[list, list]]:
-    """k disjoint validation folds covering the dataset, sizes within one."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if len(dataset) < k:
-        raise ValueError(f"dataset of {len(dataset)} items cannot make {k} folds")
-    perm = np.random.default_rng(seed).permutation(len(dataset))
-    folds = np.array_split(perm, k)
-    out = []
-    for i, fold in enumerate(folds):
-        val_idx = set(fold.tolist())
-        train = [dataset[j] for j in perm if j not in val_idx]
-        val = [dataset[j] for j in fold]
-        out.append((train, val))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -78,3 +81,51 @@ def _mutate_json(data, node):
 def mutate_json():
     """``_mutate_json``: one random replacement or deletion inside a JSON document."""
     return _mutate_json
+
+
+def _hash_embedder(dim=16, seed=0):
+    """Deterministic pseudo-random unit embedding per token, a stand-in embedder."""
+    def embed_tokens(tokens):
+        out = np.zeros((len(tokens), dim))
+        for i, tok in enumerate(tokens):
+            digest = hashlib.sha256(f"{seed}:{tok}".encode()).digest()
+            rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+            v = rng.standard_normal(dim)
+            out[i] = v / np.linalg.norm(v)
+        return out
+    return embed_tokens
+
+
+@pytest.fixture(scope="session")
+def hash_embedder():
+    """``_hash_embedder(dim, seed)``: an embedder for ``metrics.embed_score``."""
+    return _hash_embedder
+
+
+@pytest.fixture(scope="session")
+def synonym_table():
+    """Replacement candidates for the synthetic pad-sentence words (never concept terms)."""
+    return {
+        "gathering": ["assembly", "meeting"],
+        "quietly": ["calmly", "softly"],
+        "evening": ["night", "dusk"],
+        "caravan": ["convoy", "procession"],
+        "valley": ["plain", "basin"],
+        "students": ["pupils", "learners"],
+        "carefully": ["attentively", "diligently"],
+        "gently": ["softly", "lightly"],
+        "courtyard": ["yard", "plaza"],
+        "travelers": ["wayfarers", "pilgrims"],
+        "market": ["bazaar", "square"],
+        "teacher": ["instructor", "elder"],
+        "manuscript": ["codex", "scroll"],
+        "children": ["youngsters", "youths"],
+        "doorway": ["entrance", "threshold"],
+        "lamps": ["lanterns", "lights"],
+        "breeze": ["wind", "draft"],
+        "windows": ["shutters", "openings"],
+        "scribes": ["copyists", "writers"],
+        "visitors": ["guests", "callers"],
+        "towns": ["villages", "cities"],
+        "morning": ["dawn", "daybreak"],
+    }

@@ -98,19 +98,18 @@ class TestDataCommands:
         assert len(payload["data"][0]["paragraphs"]) == 12
 
     def test_encode_emits_jsonl(self, workdir, tmp_path):
-        from conceptqa.data import load_encoded_jsonl
         out = tmp_path / "encoded.jsonl"
         assert main(["data", "encode", "--in", str(workdir / "flat.json"),
                      "--vocab", str(workdir / "vocab.json"),
                      "--dict", str(workdir / "icd.json"),
                      "--out", str(out)]) == 0
-        encoded = load_encoded_jsonl(out)
+        encoded = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(encoded) == 40
-        assert all(e.example.gold_span is not None for e in encoded)
+        assert all(e["gold_span"] is not None for e in encoded)
 
-    def test_augment_grows_dataset(self, workdir, tmp_path):
+    def test_augment_grows_dataset(self, workdir, tmp_path, synonym_table):
         syn = tmp_path / "synonyms.json"
-        syn.write_text(json.dumps(synthetic.default_synonym_table()), encoding="utf-8")
+        syn.write_text(json.dumps(synonym_table), encoding="utf-8")
         out = tmp_path / "augmented.json"
         assert main(["data", "augment", "--in", str(workdir / "flat.json"),
                      "--out", str(out), "--synonyms", str(syn),
@@ -353,6 +352,7 @@ class TestExitCodes:
         ("split.seed=oops", "split.seed"),
         ("model=3", "setting model must be an object, got 3"),
         ("train=3", "setting train must be an object, got 3"),
+        ("modle.hidden=8", "override 'modle.hidden': unknown settings section 'modle'"),
     ])
     def test_bad_override_is_one(self, workdir, tmp_path, capsys, override, key):
         rc = main(["train", "--data", str(workdir / "flat.json"),
@@ -389,6 +389,42 @@ class TestExitCodes:
         path.write_text(raw, encoding="utf-8")
         rc = main(["vocab", "train", "--data", str(path), "--size", "64",
                    "--out", str(tmp_path / "vocab.json")])
+        assert rc == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ("[]", "{path}: expected a JSON object, got array"),
+        ("model: {}", "{path}: parse error at line 1: Expecting value"),
+        ('{"modle": {"hidden": 8}}', "{path}: unknown settings section 'modle'"),
+        ('{"model": {"hiden": 8}}', "unknown setting key 'model.hiden'"),
+        ('{"train": {"learning_rate": "fast"}}',
+         "setting 'train.learning_rate' must be float, got 'fast'"),
+    ])
+    def test_bad_config_file_is_one(self, workdir, tmp_path, capsys, raw, message):
+        path = tmp_path / "config.json"
+        path.write_text(raw, encoding="utf-8")
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(tmp_path / "run"), "--config", str(path)])
+        assert rc == 1
+        assert message.format(path=path) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ("[]", "expected a JSON object, got array"),
+        ("pieces", "parse error at line 1"),
+        ("{}", "'pieces' must be an array of strings"),
+        ('{"pieces": 5}', "'pieces' must be an array of strings"),
+        ('{"pieces": ["a", 1]}', "'pieces' must be an array of strings"),
+        ('{"pieces": ["a", "b"]}', "special marker [PAD] missing from vocabulary"),
+    ])
+    def test_malformed_vocab_file_is_one(self, workdir, tmp_path, capsys, raw, message):
+        path = tmp_path / "vocab.json"
+        path.write_text(raw, encoding="utf-8")
+        rc = main(["predict", "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                   "--data", str(workdir / "flat.json"), "--vocab", str(path),
+                   "--dict", str(workdir / "icd.json"), "--out", str(tmp_path / "p.json")])
         assert rc == 1
         assert f"{path}: {message}" in capsys.readouterr().err
 

@@ -14,7 +14,6 @@ from conceptqa.data import (
     encode_dataset,
     ingest_squad,
     load_dataset,
-    load_encoded_jsonl,
     save_dataset,
     split_dataset,
 )
@@ -187,15 +186,15 @@ class TestEncodeDataset:
     def test_jsonl_round_trip(self, tmp_path, tiny_encoded):
         path = tmp_path / "encoded.jsonl"
         dump_encoded_jsonl(tiny_encoded, path)
-        loaded = load_encoded_jsonl(path)
+        loaded = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(loaded) == len(tiny_encoded)
         for a, b in zip(loaded, tiny_encoded):
-            assert a.id == b.id
-            assert a.gold_texts == b.gold_texts
-            np.testing.assert_array_equal(a.example.token_ids, b.example.token_ids)
-            np.testing.assert_array_equal(a.example.boost, b.example.boost)
-            assert a.example.gold_span == b.example.gold_span
-            assert a.example.words == b.example.words
+            assert a["id"] == b.id
+            assert a["gold_texts"] == b.gold_texts
+            np.testing.assert_array_equal(a["token_ids"], b.example.token_ids)
+            np.testing.assert_array_equal(a["boost"], b.example.boost)
+            assert tuple(a["gold_span"]) == b.example.gold_span
+            assert a["words"] == b.example.words
 
 
 class TestSyntheticFixture:

@@ -78,10 +78,9 @@ class TestComputeImportance:
             expected = min(1.0, max(0.0, float(raw)))
             assert abs(scores[term] - expected) < 1e-12
 
-    def test_clamp_count_reported(self):
-        stats = {}
-        compute_importance({"a": 99, "b": 99}, weights={"a": 1.2, "b": 1.1}, stats=stats)
-        assert stats["clamped"] == 2
+    def test_clamp_count_reported(self, caplog):
+        compute_importance({"a": 99, "b": 99}, weights={"a": 1.2, "b": 1.1})
+        assert "clamped to [0, 1] for 2 term(s)" in caplog.text
 
     @given(st.floats(min_value=0.8, max_value=1.2))
     def test_uniform_weight_argmax_clamps(self, c):

@@ -6,7 +6,6 @@ from conceptqa.gating import (
     gate_backward,
     gate_forward,
     gradient_check,
-    init_gate_params,
 )
 
 TABLE3_FACTORS = [3.00, 2.41, 2.10, 1.74]
@@ -56,7 +55,7 @@ class TestForward:
         # explicit neutral path, so both forwards agree exactly
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 4))
-        params = init_gate_params(4, rng, dtype=np.float64)
+        params = GateParams(rng.standard_normal((4, 4)) * 0.02, np.zeros(4))
         r1, _ = gate_forward(x, np.ones(5), params)
         r2, _ = gate_forward(x, np.ones(5, dtype=np.float64), params)
         assert r1.tobytes() == r2.tobytes()
@@ -88,7 +87,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 4))
-        params = init_gate_params(4, rng, dtype=np.float64)
+        params = GateParams(rng.standard_normal((4, 4)) * 0.02, np.zeros(4))
         _, cache = gate_forward(x, np.full(4, 2.0), params)
         grads = gate_backward(np.zeros_like(x), cache, params)
         assert np.all(grads.dx == 0) and np.all(grads.dw == 0) and np.all(grads.db == 0)
@@ -139,7 +138,7 @@ class TestNoResidualAblation:
     def test_skip_term_is_exactly_the_input(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 4))
-        params = init_gate_params(4, rng, dtype=np.float64)
+        params = GateParams(rng.standard_normal((4, 4)) * 0.02, np.zeros(4))
         boost = 1.0 + rng.random(4)
         with_skip, _ = gate_forward(x, boost, params, skip=True)
         without, _ = gate_forward(x, boost, params, skip=False)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conceptqa.dictionary import empty_dictionary
-from conceptqa.text import normalize_text
+from conceptqa.text import normalize_text, normalize_words
 from conceptqa.tokenizer import (
     SEG_CONTEXT,
     SEG_QUESTION,
@@ -164,6 +165,75 @@ class TestAlignAnswerSpan:
         inside = f"w{n_ctx - 2} {last_present}"
         span = align_answer_span(ctx, inside, ctx.index(inside), ex)
         assert span is not None
+
+
+class TestEncodeAlignFuzz:
+    """Properties of ``encode_qa`` and ``align_answer_span`` on random inputs.
+
+    Contexts mix words over the trained vocabulary's alphabet, "a/b" tokens
+    that normalize to two words, and bare punctuation that normalizes to none;
+    the answer is a run of whole raw tokens at its true character offset.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_layout_truncation_and_span(self, tiny_vocab, data):
+        vocab = tiny_vocab
+        word = st.text(sorted(p for p in vocab.pieces if len(p) == 1),
+                       min_size=1, max_size=7)
+        tokens = data.draw(st.lists(
+            st.one_of(word, st.tuples(word, word).map("/".join), st.just(".")),
+            min_size=1, max_size=60))
+        seps = data.draw(st.lists(st.sampled_from([" ", "  ", "\n"]),
+                                  min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+        context = tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:]))
+        starts = [0]
+        for s, t in zip(seps, tokens):
+            starts.append(starts[-1] + len(t) + len(s))
+        question = " ".join(data.draw(st.lists(word, min_size=1, max_size=5)))
+        q_words = normalize_words(question)
+        n_q = sum(len(vocab.encode_word(w)) for w in q_words)
+        max_len = data.draw(st.integers(2 * (n_q + 2), 2 * (n_q + 2) + 120))
+
+        ex = encode_qa(question, context, vocab, max_len=max_len)
+        c_pieces = [len(vocab.encode_word(w)) for w in normalize_words(context)]
+        n_ctx = len(ex) - n_q - 3
+        assert len(ex) <= max_len
+        np.testing.assert_array_equal(
+            ex.segment_flags,
+            [SEG_SPECIAL] + [SEG_QUESTION] * n_q + [SEG_SPECIAL]
+            + [SEG_CONTEXT] * n_ctx + [SEG_SPECIAL])
+        assert [ex.token_ids[0], ex.token_ids[n_q + 1], ex.token_ids[-1]] == \
+            [vocab.cls_id, vocab.sep_id, vocab.sep_id]
+        assert ex.truncated == (n_ctx < sum(c_pieces))
+        assert len(ex) == max_len if ex.truncated else n_ctx == sum(c_pieces)
+
+        # an answer of whole raw tokens w0..w1 that normalizes to at least one word
+        n_frags = [len(normalize_words(t)) for t in tokens]
+        assume(any(n_frags))
+        w0 = data.draw(st.sampled_from([i for i, n in enumerate(n_frags) if n]))
+        w1 = data.draw(st.sampled_from([i for i in range(w0, len(tokens)) if n_frags[i]]))
+        start, end = starts[w0], starts[w1] + len(tokens[w1])
+        answer = context[start:end]
+        c0 = sum(n_frags[:w0])  # the answer's context words are c0..c1 - 1
+        c1 = c0 + sum(n_frags[w0:w1 + 1])
+        positions = np.flatnonzero(np.isin(ex.word_index, range(len(q_words) + c0,
+                                                                len(q_words) + c1)))
+        whole = len(positions) == sum(c_pieces[c0:c1])
+
+        span = align_answer_span(context, answer, start, ex)
+        if span is None:
+            assert ex.truncated and not whole
+        else:
+            assert whole
+            s, e = span
+            assert np.all(ex.segment_flags[s:e + 1] == SEG_CONTEXT)
+            np.testing.assert_array_equal(positions, np.arange(s, e + 1))
+
+        wrong = data.draw(st.integers(0, len(context)))
+        if context[wrong:wrong + len(answer)] != answer:
+            with pytest.raises(ValueError, match="span mismatch"):
+                align_answer_span(context, answer, wrong, ex)
 
 
 class TestBoostVector:

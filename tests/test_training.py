@@ -4,7 +4,7 @@ import pytest
 from conceptqa import model as model_mod
 from conceptqa.data import encode_dataset
 from conceptqa.dictionary import builtin_dictionary
-from conceptqa.synthetic import default_synonym_table, generate_records
+from conceptqa.synthetic import generate_records
 from conceptqa.tokenizer import align_answer_span, encode_qa
 from conceptqa.training import (
     StageConfig,
@@ -14,7 +14,6 @@ from conceptqa.training import (
     augment_synonym,
     default_stages,
     init_optimizer_state,
-    kfold_split,
     lr_schedule,
     optimizer_step,
     train_two_stage,
@@ -102,37 +101,6 @@ class TestOptimizerStep:
                            init_optimizer_state({}), TrainConfig())
 
 
-class TestKFold:
-    def test_even_folds(self):
-        folds = kfold_split(list(range(10)), k=5, seed=0)
-        assert len(folds) == 5
-        assert all(len(val) == 2 and len(train) == 8 for train, val in folds)
-
-    def test_partition_property(self):
-        data = list(range(23))
-        folds = kfold_split(data, k=5, seed=3)
-        all_val = [x for _, val in folds for x in val]
-        assert sorted(all_val) == data
-        sizes = sorted(len(val) for _, val in folds)
-        assert sizes[-1] - sizes[0] <= 1
-        for train, val in folds:
-            assert set(train).isdisjoint(val)
-            assert sorted(train + val) == data
-
-    def test_seed_changes_permutation_not_sizes(self):
-        a = kfold_split(list(range(20)), k=4, seed=0)
-        b = kfold_split(list(range(20)), k=4, seed=1)
-        assert [len(v) for _, v in a] == [len(v) for _, v in b]
-        assert any(va != vb for (_, va), (_, vb) in zip(a, b))
-        assert kfold_split(list(range(20)), k=4, seed=0) == a
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="k must be"):
-            kfold_split([1, 2, 3], k=1)
-        with pytest.raises(ValueError, match="cannot make"):
-            kfold_split([1, 2], k=5)
-
-
 class TestAugmentSynonym:
     RECORD = {
         "id": "r1",
@@ -189,8 +157,8 @@ class TestAugmentSynonym:
         replaced = sum(1 for w in out["context"].split() if w.startswith("swap"))
         assert 450 <= replaced <= 550
 
-    def test_augmented_records_stay_alignable(self, builtin_dict, tiny_vocab):
-        table = SynonymTable(default_synonym_table())
+    def test_augmented_records_stay_alignable(self, builtin_dict, tiny_vocab, synonym_table):
+        table = SynonymTable(synonym_table)
         fixture = generate_records(12, seed=31, target_context_words=40)
         for i, rec in enumerate(fixture.records):
             out = augment_synonym(rec.to_dict(), table, builtin_dict, 0.7, seed=i)
