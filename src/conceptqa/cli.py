@@ -25,6 +25,7 @@ from .dictionary import (
     DictionaryError,
     build_dictionary,
     load_dictionary,
+    load_weights,
     save_dictionary,
 )
 from .text import read_json_object
@@ -41,7 +42,7 @@ DEFAULT_CONFIG = {
 def _load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
-        for key, value in read_json_object(Path(path)).items():
+        for key, value in read_json_object(Path(path), dict).items():
             if key not in cfg:
                 raise ValueError(f"{path}: unknown settings section {key!r}")
             if isinstance(value, dict) and isinstance(cfg[key], dict):
@@ -161,7 +162,7 @@ def cmd_icd_build(args) -> int:
     if not docs:
         raise ValueError(f"no .txt documents under {corpus_dir}")
     terms = [t for t in Path(args.terms).read_text(encoding="utf-8").split() if t]
-    weights = json.loads(Path(args.weights).read_text(encoding="utf-8")) if args.weights else {}
+    weights = load_weights(args.weights) if args.weights else {}
     dictionary = build_dictionary(docs, terms, weights, version=args.version)
     save_dictionary(dictionary, args.out)
     for warning in dictionary.build_warnings:
@@ -301,8 +302,12 @@ def cmd_train(args) -> int:
 
     model = model_mod.build_model(mcfg, seed=tcfg.seed,
                                   dictionary_version=dictionary.version)
-    model, history = training.train_two_stage(model, enc_train, enc_val, tcfg,
-                                              stages, vocab=vocab)
+    diverged = None
+    try:
+        model, history = training.train_two_stage(model, enc_train, enc_val, tcfg,
+                                                  stages, vocab=vocab)
+    except training.TrainingDiverged as exc:
+        model, history, diverged = exc.model, exc.history, exc
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,6 +320,8 @@ def cmd_train(args) -> int:
     _write_manifest(out_dir, "train", cfg,
                     [args.data, args.vocab, args.dict],
                     [str(ckpt), str(out_dir / "history.csv")], seed=tcfg.seed)
+    if diverged is not None:
+        raise diverged
     return 0
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import ConceptDictionary
-from .text import JSON_NAMES, read_json_object
+from .text import _field, _items, read_json_object
 from .tokenizer import (
     DEFAULT_MAX_LEN,
     TokenizedExample,
@@ -83,36 +83,6 @@ def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-_REQUIRED = object()
-
-
-def _field(node: dict, key: str, kinds: tuple[type, ...], where: str, default=_REQUIRED):
-    """``node[key]`` if its JSON type is one of ``kinds``; ``default`` if it is absent.
-
-    Anything else raises ValueError naming ``where``, the location of ``node``
-    ("" for the top level).
-    """
-    if key not in node:
-        if default is _REQUIRED:
-            raise ValueError(f"{where or 'top level'}: missing {key!r}")
-        return default
-    value = node[key]
-    if type(value) not in kinds:
-        raise ValueError(f"{where + '.' if where else ''}{key}: expected "
-                         f"{' or '.join(JSON_NAMES[k] for k in kinds)}, "
-                         f"got {JSON_NAMES[type(value)]}")
-    return value
-
-
-def _items(items: list, kind: type, where: str):
-    """(location, item) for each item of a JSON array that must hold ``kind``s."""
-    for n, item in enumerate(items):
-        if type(item) is not kind:
-            raise ValueError(f"{where}[{n}]: expected {JSON_NAMES[kind]}, "
-                             f"got {JSON_NAMES[type(item)]}")
-        yield f"{where}[{n}]", item
-
-
 def ingest_squad(path: str | Path) -> DatasetFile:
     """Flatten a v1.1-style QA JSON file into validated records.
 
@@ -123,11 +93,7 @@ def ingest_squad(path: str | Path) -> DatasetFile:
     ``data[0].paragraphs[0].qas[1]: missing 'id'``.
     """
     path = Path(path)
-    payload = read_json_object(path)
-    try:
-        records, rejected = _flatten_squad(payload)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    records, rejected = read_json_object(path, _flatten_squad)
     return DatasetFile(
         records=records,
         source_path=str(path),
@@ -191,24 +157,24 @@ _RECORD_FIELDS = (("id", (str,)), ("question", (str,)), ("context", (str,)),
 
 def load_dataset(path: str | Path) -> DatasetFile:
     """Read a ``save_dataset`` file; a malformed one raises ValueError naming the location."""
-    payload = read_json_object(Path(path))
-    try:
-        prov = _field(payload, "provenance", (dict,), "", {})
-        records = []
-        for at, rec in _items(_field(payload, "records", (list,), ""), dict, "records"):
-            for key, kinds in _RECORD_FIELDS:
-                _field(rec, key, kinds, at)
-            answers = _field(rec, "all_answers", (list, type(None)), at, None) or []
-            list(_items(answers, str, f"{at}.all_answers"))
-            records.append(DatasetRecord.from_dict(rec))
-        return DatasetFile(
-            records=records,
-            source_path=_field(prov, "source_path", (str,), "provenance", ""),
-            content_hash=_field(prov, "content_hash", (str,), "provenance", ""),
-            rejected=_field(payload, "rejected", (list,), "", []),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json_object(Path(path), _dataset_from_payload)
+
+
+def _dataset_from_payload(payload: dict) -> DatasetFile:
+    prov = _field(payload, "provenance", (dict,), "", {})
+    records = []
+    for at, rec in _items(_field(payload, "records", (list,), ""), dict, "records"):
+        for key, kinds in _RECORD_FIELDS:
+            _field(rec, key, kinds, at)
+        answers = _field(rec, "all_answers", (list, type(None)), at, None) or []
+        list(_items(answers, str, f"{at}.all_answers"))
+        records.append(DatasetRecord.from_dict(rec))
+    return DatasetFile(
+        records=records,
+        source_path=_field(prov, "source_path", (str,), "provenance", ""),
+        content_hash=_field(prov, "content_hash", (str,), "provenance", ""),
+        rejected=_field(payload, "rejected", (list,), "", []),
+    )
 
 
 def split_dataset(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .text import normalize_text
+from .text import _field, _items, normalize_text, read_json_object
 
 log = logging.getLogger(__name__)
 
@@ -208,45 +208,41 @@ def save_dictionary(dictionary: ConceptDictionary, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _dictionary_from_payload(payload: dict, source: str) -> ConceptDictionary:
-    if not isinstance(payload, dict) or "entries" not in payload:
-        raise DictionaryError(f"{source}: not a dictionary file (missing 'entries')")
+def _dictionary_from_payload(payload: dict) -> ConceptDictionary:
     entries: dict[str, ConceptEntry] = {}
-    for raw in payload["entries"]:
-        try:
-            entry = ConceptEntry(
-                term=str(raw["term"]),
-                importance_score=float(raw["importance_score"]),
-                boost_factor=float(raw["boost_factor"]),
-                category=str(raw.get("category", "")),
-                corpus_frequency=float(raw.get("corpus_frequency", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DictionaryError(f"{source}: malformed entry {raw!r}: {exc}") from exc
+    for at, raw in _items(_field(payload, "entries", (list,), ""), dict, "entries"):
+        entry = ConceptEntry(
+            term=_field(raw, "term", (str,), at),
+            importance_score=_field(raw, "importance_score", (int, float), at),
+            boost_factor=_field(raw, "boost_factor", (int, float), at),
+            category=_field(raw, "category", (str,), at, ""),
+            corpus_frequency=_field(raw, "corpus_frequency", (int, float), at, 0.0),
+        )
         key = normalize_text(entry.term)
         if key in entries:
-            raise DictionaryError(f"{source}: duplicate term {entry.term!r}")
+            raise DictionaryError(f"duplicate term {entry.term!r}")
         entries[key] = entry
-    d = ConceptDictionary(entries=entries, version=str(payload.get("version", "unversioned")))
+    d = ConceptDictionary(entries, _field(payload, "version", (str,), "", "unversioned"))
     d.validate()
     return d
 
 
 def load_dictionary(path: str | Path) -> ConceptDictionary:
     """Load and validate a dictionary JSON file (BF invariant enforced)."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DictionaryError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
-    return _dictionary_from_payload(payload, str(path))
+    return read_json_object(Path(path), _dictionary_from_payload, DictionaryError)
 
 
 def builtin_dictionary() -> ConceptDictionary:
     """The packaged 12-term fixture dictionary."""
-    data = resources.files("conceptqa.fixtures").joinpath("concept_dictionary.json")
-    payload = json.loads(data.read_text(encoding="utf-8"))
-    return _dictionary_from_payload(payload, "builtin fixture")
+    return read_json_object(resources.files("conceptqa.fixtures") / "concept_dictionary.json",
+                            _dictionary_from_payload, DictionaryError)
+
+
+def load_weights(path: str | Path) -> dict[str, float]:
+    """Read a ``{"term": number}`` scholar-weight map; a malformed one raises ValueError
+    naming the file."""
+    return read_json_object(Path(path), lambda payload: {
+        term: _field(payload, term, (int, float), "") for term in payload})
 
 
 def empty_dictionary(version: str = "empty") -> ConceptDictionary:

@@ -72,7 +72,6 @@ def generate_records(
     target_context_words: float | None = None,
     target_question_words: float | None = None,
     question_style: str = "generic",
-    concept_pool: list[str] | None = None,
 ) -> DatasetFile:
     """Build ``n`` planted-concept QA records.
 
@@ -83,10 +82,9 @@ def generate_records(
     if n_slots < 1:
         raise ValueError("need at least one slot")
     rng = np.random.default_rng(seed)
-    concepts = concept_pool if concept_pool is not None else CONCEPT_AGENTS
     records = []
     for i in range(n):
-        concept = concepts[int(rng.integers(len(concepts)))]
+        concept = CONCEPT_AGENTS[int(rng.integers(len(CONCEPT_AGENTS)))]
         fillers = list(rng.choice(FILLER_AGENTS, size=n_slots - 1, replace=False))
         answers = list(rng.choice(ANSWER_WORDS, size=n_slots, replace=False))
         agents = [concept] + fillers

@@ -1,4 +1,4 @@
-"""Text normalization and the JSON-object file reader, shared across the package.
+"""Text normalization and the reader of JSON input files, shared across the package.
 
 Normalization is deliberately simple and deterministic: lowercase, map a small
 transliteration table (so e.g. "Ṣaḥīḥ" and "sahih" compare equal), strip
@@ -62,12 +62,49 @@ JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
               float: "number", bool: "boolean", type(None): "null"}
 
 
-def read_json_object(path: Path) -> dict:
-    """The JSON object in file ``path``; anything else raises ValueError naming the file."""
+def read_json_object(path: Path, parse, error: type[ValueError] = ValueError):
+    """``parse`` of the JSON object in file ``path``.
+
+    A file that is not JSON, holds anything but an object, or whose object
+    ``parse`` rejects with ValueError raises ``error`` naming the file and the
+    location, e.g. ``d.json: entries[0].term: expected string, got integer``.
+    """
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if type(payload) is not dict:
+            raise ValueError(f"expected a JSON object, got {JSON_NAMES[type(payload)]}")
+        return parse(payload)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
-    if type(payload) is not dict:
-        raise ValueError(f"{path}: expected a JSON object, got {JSON_NAMES[type(payload)]}")
-    return payload
+        raise error(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+_REQUIRED = object()
+
+
+def _field(node: dict, key: str, kinds: tuple[type, ...], where: str, default=_REQUIRED):
+    """``node[key]`` if its JSON type is one of ``kinds``; ``default`` if it is absent.
+
+    Anything else raises ValueError naming ``where``, the location of ``node``
+    ("" for the top level).
+    """
+    if key not in node:
+        if default is _REQUIRED:
+            raise ValueError(f"{where or 'top level'}: missing {key!r}")
+        return default
+    value = node[key]
+    if type(value) not in kinds:
+        raise ValueError(f"{where + '.' if where else ''}{key}: expected "
+                         f"{' or '.join(JSON_NAMES[k] for k in kinds)}, "
+                         f"got {JSON_NAMES[type(value)]}")
+    return value
+
+
+def _items(items: list, kind: type, where: str):
+    """(location, item) for each item of a JSON array that must hold ``kind``s."""
+    for n, item in enumerate(items):
+        if type(item) is not kind:
+            raise ValueError(f"{where}[{n}]: expected {JSON_NAMES[kind]}, "
+                             f"got {JSON_NAMES[type(item)]}")
+        yield f"{where}[{n}]", item

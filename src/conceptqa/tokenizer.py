@@ -41,6 +41,8 @@ class Vocab:
     piece_to_id: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if type(self.pieces) is not list or not all(type(p) is str for p in self.pieces):
+            raise ValueError("'pieces' must be an array of strings")
         if not self.piece_to_id:
             self.piece_to_id = {p: i for i, p in enumerate(self.pieces)}
         if len(self.piece_to_id) != len(self.pieces):
@@ -108,13 +110,7 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 def load_vocab(path) -> Vocab:
     """Read a ``save_vocab`` file; a malformed one raises ValueError naming the file."""
-    pieces = read_json_object(Path(path)).get("pieces")
-    if type(pieces) is not list or not all(type(p) is str for p in pieces):
-        raise ValueError(f"{path}: 'pieces' must be an array of strings")
-    try:
-        return Vocab(pieces=pieces)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json_object(Path(path), lambda payload: Vocab(pieces=payload.get("pieces")))
 
 
 def train_vocab(corpus: list[str], target_size: int) -> Vocab:

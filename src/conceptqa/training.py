@@ -9,7 +9,6 @@ always returns the best checkpoint seen.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 from . import evaluation, metrics, model as model_mod
 from .dictionary import ConceptDictionary
 from .model import ADAPTABLE_GROUPS, EncoderModel
-from .text import normalize_text, words_with_spans
+from .text import _field, _items, normalize_text, read_json_object, words_with_spans
 from .tokenizer import Vocab
 
 STAGE_ADAPTATION = "adaptation"
@@ -91,6 +90,16 @@ class TrainHistory:
         for r in self.records:
             lines.append(f"{r['step']},{r['loss']:.6f},{r['em']:.4f},{r['f1']:.4f},{r['lr']:.3e}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TrainingDiverged(FloatingPointError):
+    """A non-finite gradient stopped training; ``model`` holds the best parameters
+    so far and ``history`` the epochs before the failing step."""
+
+    def __init__(self, message: str, model: EncoderModel, history: TrainHistory):
+        super().__init__(message)
+        self.model = model
+        self.history = history
 
 
 def lr_schedule(step: int, cfg: TrainConfig, total_steps: int) -> float:
@@ -175,7 +184,11 @@ class SynonymTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "SynonymTable":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a ``{"word": ["alternative", ...]}`` file; a malformed one raises
+        ValueError naming the file."""
+        return read_json_object(Path(path), lambda payload: cls({
+            word: [alt for _, alt in _items(_field(payload, word, (list,), ""), str, word)]
+            for word in payload}))
 
 
 def augment_synonym(
@@ -279,7 +292,8 @@ def train_two_stage(
     Validation EM that fails to improve for ``patience`` consecutive
     evaluations ends the current stage; the best checkpoint is tracked
     globally and is what the call returns.  Examples whose gold span fell
-    outside the packed sequence are skipped (counted in the history).
+    outside the packed sequence are skipped (counted in the history).  A
+    non-finite gradient raises TrainingDiverged carrying the best checkpoint.
     """
     if vocab is None:
         raise ValueError("a vocabulary is required for validation decoding")
@@ -318,8 +332,14 @@ def train_two_stage(
             for batch_start in range(0, len(order), cfg.effective_batch):
                 batch = order[batch_start:batch_start + cfg.effective_batch]
                 lr = lr_schedule(min(global_step + 1, total_steps), cfg, total_steps)
-                losses += _train_step(model, [usable[j] for j in batch], cfg, opt_state,
-                                      lr, stage.boost_enabled, stage.trainable)
+                try:
+                    losses += _train_step(model, [usable[j] for j in batch], cfg, opt_state,
+                                          lr, stage.boost_enabled, stage.trainable)
+                except FloatingPointError as exc:
+                    model.params = best_params
+                    raise TrainingDiverged(
+                        f"{exc} at step {global_step + 1}; kept the parameters of "
+                        f"step {max(history.best_step, 0)}", model, history) from exc
                 global_step += 1
             epochs_done += 1
 
@@ -346,7 +366,6 @@ def train_epochs_simple(
     cfg: TrainConfig,
     max_steps: int,
     trainable: tuple[str, ...] = ADAPTABLE_GROUPS,
-    boost_enabled: bool = True,
     total_steps: int | None = None,
 ) -> EncoderModel:
     """Budgeted single-stage loop (no validation); used by sanity checks."""
@@ -365,6 +384,6 @@ def train_epochs_simple(
             batch = order[batch_start:batch_start + cfg.effective_batch]
             lr = lr_schedule(min(step + 1, total), cfg, total)
             _train_step(model, [usable[j] for j in batch], cfg, opt_state, lr,
-                        boost_enabled, trainable)
+                        boost_enabled=True, trainable=trainable)
             step += 1
     return model

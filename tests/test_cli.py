@@ -428,6 +428,87 @@ class TestExitCodes:
         assert rc == 1
         assert f"{path}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, message", [
+        ('{"entries": 5}', "entries: expected array, got integer"),
+        ('{"version": "t", "entries": [{"term": "allah", "importance_score": "0.5", '
+         '"boost_factor": 2.0}]}',
+         "entries[0].importance_score: expected integer or number, got string"),
+    ])
+    def test_malformed_dictionary_file_is_one(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "icd.json"
+        path.write_text(raw, encoding="utf-8")
+        assert main(["icd", "show", str(path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ("[]", "expected a JSON object, got array"),
+        ('{"allah": "x"}', "allah: expected integer or number, got string"),
+        ('{"allah": true}', "allah: expected integer or number, got boolean"),
+        ("allah: 1.1", "parse error at line 1"),
+    ])
+    def test_malformed_weights_file_is_one(self, workdir, tmp_path, capsys, raw, message):
+        path = tmp_path / "weights.json"
+        path.write_text(raw, encoding="utf-8")
+        rc = main(["icd", "build", "--corpus", str(workdir / "corpus"),
+                   "--terms", str(workdir / "terms.txt"), "--weights", str(path),
+                   "--out", str(tmp_path / "icd.json")])
+        assert rc == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "icd.json").exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ("[]", "expected a JSON object, got array"),
+        ('{"gathering": 5}', "gathering: expected array, got integer"),
+        ('{"gathering": [5]}', "gathering[0]: expected string, got integer"),
+        ('{"gathering": "meeting"}', "gathering: expected array, got string"),
+    ])
+    def test_malformed_synonym_file_is_one(self, workdir, tmp_path, capsys, raw, message):
+        path = tmp_path / "synonyms.json"
+        path.write_text(raw, encoding="utf-8")
+        rc = main(["data", "augment", "--in", str(workdir / "flat.json"),
+                   "--out", str(tmp_path / "augmented.json"), "--synonyms", str(path),
+                   "--dict", str(workdir / "icd.json")])
+        assert rc == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "augmented.json").exists()
+
+    def test_nonfinite_gradient_keeps_best_checkpoint(self, workdir, tmp_path, capsys,
+                                                      monkeypatch):
+        # TRAIN_CONFIG trains 32 records in steps of 4: validation after step 8 makes
+        # it the best step, and step 12 gets a NaN gradient
+        from conceptqa import model as model_mod
+        real = model_mod.qa_loss_and_grads
+        calls = []
+        best = {}
+
+        def poisoned(model, example, **kwargs):
+            step = len(calls) // 4 + 1
+            calls.append(step)
+            if step == 9 and not best:
+                best.update({k: v.copy() for k, v in model.params.items()})
+            loss, grads = real(model, example, **kwargs)
+            if step == 12:
+                grads["heads.start.weight"] = np.full_like(grads["heads.start.weight"],
+                                                           np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(model_mod, "qa_loss_and_grads", poisoned)
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(out_dir), "--config", str(workdir / "config.json")])
+        assert rc == 2
+        assert ("non-finite gradient for 'heads.start.weight'; step aborted at step 12; "
+                "kept the parameters of step 8") in capsys.readouterr().err
+        assert max(calls) == 12
+        saved = model_mod.load_checkpoint(out_dir / "checkpoint.bin")
+        assert saved.params.keys() == best.keys()
+        for name, value in best.items():
+            np.testing.assert_array_equal(saved.params[name], value)
+        history = (out_dir / "history.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in history[1:]] == ["8"]
+
     def test_config_override_flags_win(self, workdir, tmp_path, capsys):
         out = tmp_path / "s.json"
         rc = main(["data", "synth", "--out", str(out), "--n", "3", "--seed", "1"])

@@ -1,9 +1,11 @@
 import decimal
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conceptqa.dictionary import (
     ConceptEntry,
@@ -13,6 +15,7 @@ from conceptqa.dictionary import (
     compute_importance,
     empty_dictionary,
     load_dictionary,
+    load_weights,
     save_dictionary,
 )
 
@@ -188,6 +191,46 @@ class TestSerialization:
         path = tmp_path / "empty.json"
         save_dictionary(empty_dictionary(), path)
         assert len(load_dictionary(path)) == 0
+
+
+class TestMutatedFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_dictionary_loads_or_raises_value_error(self, builtin_dict, mutate_json,
+                                                            data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "icd.json"
+            save_dictionary(builtin_dict, path)
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            for _ in range(data.draw(st.integers(1, 3))):
+                payload = mutate_json(data, payload)
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            try:
+                loaded = load_dictionary(path)
+            except ValueError as exc:
+                assert isinstance(exc, DictionaryError)
+                assert str(exc).startswith(f"{path}: ")
+            else:
+                loaded.validate()
+                assert type(loaded.version) is str
+                for entry in loaded.entries.values():
+                    assert type(entry.term) is str and type(entry.category) is str
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_weights_load_or_raise_value_error(self, mutate_json, data):
+        payload = {"allah": 1.2, "prophet": 0.9, "hadith": 1}
+        for _ in range(data.draw(st.integers(1, 3))):
+            payload = mutate_json(data, payload)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "weights.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            try:
+                weights = load_weights(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+            else:
+                assert all(type(w) in (int, float) for w in weights.values())
 
 
 class TestLookup:

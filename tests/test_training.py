@@ -1,5 +1,10 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conceptqa import model as model_mod
 from conceptqa.data import encode_dataset
@@ -166,6 +171,23 @@ class TestAugmentSynonym:
             span = align_answer_span(out["context"], out["answer_text"],
                                      out["answer_char_start"], ex)
             assert span is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_synonym_file_loads_or_raises_value_error(self, synonym_table,
+                                                              mutate_json, data):
+        payload = json.loads(json.dumps(synonym_table))
+        for _ in range(data.draw(st.integers(1, 3))):
+            payload = mutate_json(data, payload)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "synonyms.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            try:
+                table = SynonymTable.load(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+            else:
+                assert all(type(alt) is str for alts in table.table.values() for alt in alts)
 
     def test_rate_validated(self, builtin_dict):
         with pytest.raises(ValueError, match="rate"):
