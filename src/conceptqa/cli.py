@@ -112,12 +112,11 @@ def _stages(cfg: dict) -> list[training.StageConfig]:
         trainable = raw.get("trainable", base.trainable)
         if not isinstance(trainable, (list, tuple)):
             raise ValueError(f"setting stages.{n}.trainable must be a list, got {trainable!r}")
-        out.append(training.StageConfig(
-            stage=raw["stage"],
-            epochs=epochs,
-            boost_enabled=base.boost_enabled,
-            trainable=tuple(trainable),
-        ))
+        try:
+            out.append(training.StageConfig(raw["stage"], epochs, base.boost_enabled,
+                                            tuple(trainable)))
+        except ValueError as exc:
+            raise ValueError(f"setting stages.{n}: {exc}") from None
     return out
 
 
@@ -222,7 +221,10 @@ def cmd_data_augment(args) -> int:
     dataset = data_mod.load_dataset(args.input)
     table = training.SynonymTable.load(args.synonyms)
     dictionary = load_dictionary(args.dict)
-    table.validate_against(dictionary)
+    try:
+        table.validate_against(dictionary)
+    except ValueError as exc:
+        raise ValueError(f"{args.synonyms}: {exc}") from None
     augmented = []
     for i, rec in enumerate(dataset.records):
         new = training.augment_synonym(rec.to_dict(), table, dictionary,
@@ -314,8 +316,9 @@ def cmd_train(args) -> int:
     ckpt = out_dir / "checkpoint.bin"
     model_mod.save_checkpoint(model, ckpt)
     history.to_csv(out_dir / "history.csv")
-    print(f"best val EM {history.best_em:.2f}% at step {history.best_step}; "
-          f"{history.skipped_truncated} truncated example(s) skipped")
+    best = (f"best val EM {history.best_em:.2f}% at step {history.best_step}"
+            if history.records else "no validation ran")
+    print(f"{best}; {history.skipped_truncated} truncated example(s) skipped")
     print(f"checkpoint -> {ckpt}")
     _write_manifest(out_dir, "train", cfg,
                     [args.data, args.vocab, args.dict],

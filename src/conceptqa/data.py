@@ -8,6 +8,7 @@ Encoded examples serialize as line-delimited JSON.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -37,14 +38,7 @@ class DatasetRecord:
     all_answers: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "question": self.question,
-            "context": self.context,
-            "answer_text": self.answer_text,
-            "answer_char_start": self.answer_char_start,
-            "all_answers": self.all_answers,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetRecord":
@@ -223,8 +217,11 @@ def encode_dataset(
     encoded: list[EncodedExample] = []
     n_absent = 0
     for rec in records:
-        ex = encode_qa(rec.question, rec.context, vocab, max_len=max_len)
-        span = align_answer_span(rec.context, rec.answer_text, rec.answer_char_start, ex)
+        try:
+            ex = encode_qa(rec.question, rec.context, vocab, max_len=max_len)
+            span = align_answer_span(rec.context, rec.answer_text, rec.answer_char_start, ex)
+        except ValueError as exc:
+            raise ValueError(f"record {rec.id!r}: {exc}") from None
         if span is None:
             n_absent += 1
         ex.gold_span = span
@@ -241,18 +238,7 @@ def dump_encoded_jsonl(encoded: list[EncodedExample], path: str | Path) -> None:
     """One JSON object per line; segment flags 0=special, 1=question, 2=context."""
     with open(path, "w", encoding="utf-8") as fh:
         for enc in encoded:
-            ex = enc.example
-            fh.write(json.dumps({
-                "id": enc.id,
-                "token_ids": ex.token_ids.tolist(),
-                "segment_flags": ex.segment_flags.tolist(),
-                "word_index": ex.word_index.tolist(),
-                "boost": [float(b) for b in ex.boost],
-                "gold_span": list(ex.gold_span) if ex.gold_span else None,
-                "truncated": ex.truncated,
-                "words": ex.words,
-                "n_question_words": ex.n_question_words,
-                "context_word_spans": ex.context_word_spans,
-                "word_piece_counts": ex.word_piece_counts,
-                "gold_texts": enc.gold_texts,
-            }, sort_keys=True) + "\n")
+            row = {f.name: getattr(enc.example, f.name)
+                   for f in dataclasses.fields(enc.example)}
+            fh.write(json.dumps({**row, "id": enc.id, "gold_texts": enc.gold_texts},
+                                sort_keys=True, default=np.ndarray.tolist) + "\n")

@@ -94,6 +94,13 @@ def boost_factor(importance: float) -> float:
     return 2.0 * importance + 1.0
 
 
+def _check_weight(term: str, w: float) -> float:
+    lo, hi = SCHOLAR_WEIGHT_RANGE
+    if not lo <= w <= hi:
+        raise ValueError(f"scholar weight for {term!r} is {w}, outside [{lo}, {hi}]")
+    return w
+
+
 def compute_importance(
     term_freqs: dict[str, int],
     weights: dict[str, float] | None = None,
@@ -110,9 +117,7 @@ def compute_importance(
         if count < 1:
             raise ValueError(f"term {term!r} has count {count}; counts must be >= 1")
     for term, w in weights.items():
-        lo, hi = SCHOLAR_WEIGHT_RANGE
-        if not lo <= w <= hi:
-            raise ValueError(f"scholar weight for {term!r} is {w}, outside [{lo}, {hi}]")
+        _check_weight(term, w)
 
     log_max = max(math.log(c + 1.0) for c in term_freqs.values())
     scores: dict[str, float] = {}
@@ -239,10 +244,10 @@ def builtin_dictionary() -> ConceptDictionary:
 
 
 def load_weights(path: str | Path) -> dict[str, float]:
-    """Read a ``{"term": number}`` scholar-weight map; a malformed one raises ValueError
-    naming the file."""
+    """Read a ``{"term": number}`` scholar-weight map; a malformed one, or a weight
+    outside ``SCHOLAR_WEIGHT_RANGE``, raises ValueError naming the file."""
     return read_json_object(Path(path), lambda payload: {
-        term: _field(payload, term, (int, float), "") for term in payload})
+        term: _check_weight(term, _field(payload, term, (int, float), "")) for term in payload})
 
 
 def empty_dictionary(version: str = "empty") -> ConceptDictionary:

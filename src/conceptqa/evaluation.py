@@ -86,21 +86,13 @@ def model_embedder(model: EncoderModel, vocab: Vocab) -> metrics.Embedder:
     subword states are mean-pooled, yielding one vector per input token.
     """
     def embed_tokens(tokens):
-        pieces = [vocab.cls_id]
-        owner = [-1]
-        for wi, tok in enumerate(tokens):
-            for piece in vocab.encode_word(tok):
-                pieces.append(vocab.piece_to_id[piece])
-                owner.append(wi)
-        pieces.append(vocab.sep_id)
-        owner.append(-1)
-        ids = np.asarray(pieces, dtype=np.int32)
+        piece_ids, counts = vocab.encode_words(tokens)
+        ids = vocab.pack(piece_ids)
         hidden = encoder_forward(model, ids, np.ones(len(ids)))
-        owner_arr = np.asarray(owner)
+        ends = 1 + np.cumsum(counts)  # past [CLS]
         out = np.zeros((len(tokens), hidden.shape[1]))
-        for wi in range(len(tokens)):
-            mask = owner_arr == wi
-            out[wi] = hidden[mask].mean(axis=0)
+        for wi, (end, n) in enumerate(zip(ends, counts)):
+            out[wi] = hidden[end - n:end].mean(axis=0)
         return out
 
     return embed_tokens

@@ -27,7 +27,7 @@ from scipy.special import erf
 
 from . import gating
 from .gating import GateParams
-from .tokenizer import TokenizedExample
+from .tokenizer import SEG_CONTEXT, TokenizedExample
 
 LN_EPS = 1e-5
 INIT_SCALE = 0.02
@@ -560,11 +560,9 @@ def span_logits(model: EncoderModel, hidden: np.ndarray) -> tuple[np.ndarray, np
     return start, end
 
 
-def qa_forward(model: EncoderModel, example: TokenizedExample,
-               boost: np.ndarray | None = None, return_caches: bool = False):
+def qa_forward(model: EncoderModel, example: TokenizedExample, return_caches: bool = False):
     """Encode an example and produce start/end logits."""
-    boost = example.boost if boost is None else boost
-    out = encoder_forward(model, example.token_ids, boost, return_caches=return_caches)
+    out = encoder_forward(model, example.token_ids, example.boost, return_caches=return_caches)
     hidden, caches = out if return_caches else (out, None)
     start, end = span_logits(model, hidden)
     if return_caches:
@@ -599,13 +597,12 @@ def _span_loss_grads(start_logits, end_logits, gold):
 def qa_loss_and_grads(
     model: EncoderModel,
     example: TokenizedExample,
-    boost: np.ndarray | None = None,
     trainable_groups: tuple[str, ...] = ADAPTABLE_GROUPS,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients for every parameter in ``trainable_groups``."""
     if example.gold_span is None:
         raise ValueError("example has no gold span")
-    start, end, hidden, caches = qa_forward(model, example, boost=boost, return_caches=True)
+    start, end, hidden, caches = qa_forward(model, example, return_caches=True)
     loss = span_loss(start, end, example.gold_span)
     dstart, dend = _span_loss_grads(start, end, example.gold_span)
 
@@ -643,7 +640,7 @@ def predict_span(
     n = len(start_logits)
     if len(end_logits) != n or len(example) != n:
         raise ValueError("logit length does not match the example")
-    in_context = example.segment_flags == 2  # SEG_CONTEXT
+    in_context = example.segment_flags == SEG_CONTEXT
     scores = start_logits[:, None] + end_logits[None, :]
     s_idx = np.arange(n)[:, None]
     e_idx = np.arange(n)[None, :]

@@ -64,25 +64,36 @@ class Vocab:
 
     def encode_word(self, word: str) -> list[str]:
         """Longest-match-first subword split; [UNK] when the word is not coverable."""
-        chars = list(word)
         out: list[str] = []
         start = 0
-        while start < len(chars):
-            end = len(chars)
-            piece = None
-            while start < end:
-                cand = "".join(chars[start:end])
-                if start > 0:
-                    cand = CONT + cand
-                if cand in self.piece_to_id:
-                    piece = cand
+        while start < len(word):
+            for end in range(len(word), start, -1):
+                piece = word[start:end] if start == 0 else CONT + word[start:end]
+                if piece in self.piece_to_id:
                     break
-                end -= 1
-            if piece is None:
+            else:
                 return [UNK]
             out.append(piece)
             start = end
         return out
+
+    def encode_words(self, words: list[str]) -> tuple[list[int], list[int]]:
+        """Piece ids of ``words`` in order, and the piece count of each word."""
+        ids: list[int] = []
+        counts: list[int] = []
+        for word in words:
+            pieces = self.encode_word(word)
+            ids += self.pieces_to_ids(pieces)
+            counts.append(len(pieces))
+        return ids, counts
+
+    def pack(self, *segments: list[int]) -> np.ndarray:
+        """``[CLS] segment [SEP] segment [SEP] ...`` as int32 token ids."""
+        ids = [self.cls_id]
+        for segment in segments:
+            ids += segment
+            ids.append(self.sep_id)
+        return np.asarray(ids, dtype=np.int32)
 
     def pieces_to_ids(self, pieces: list[str]) -> list[int]:
         return [self.piece_to_id[p] for p in pieces]
@@ -232,56 +243,32 @@ def encode_qa(
         raise ValueError("question is empty")
     c_words, c_spans = _fragments(context)
 
-    q_pieces = [vocab.encode_word(w) for w in q_words]
-    c_pieces = [vocab.encode_word(w) for w in c_words]
-    n_q_pieces = sum(len(p) for p in q_pieces)
-    if 1 + n_q_pieces + 1 > max_len // 2:
+    q_ids, q_counts = vocab.encode_words(q_words)
+    if 1 + len(q_ids) + 1 > max_len // 2:
         raise ValueError(
-            f"question too long: {n_q_pieces} pieces exceed the {max_len // 2}-slot budget"
+            f"question too long: {len(q_ids)} pieces exceed the {max_len // 2}-slot budget"
         )
+    c_ids, c_counts = vocab.encode_words(c_words)
+    budget = max_len - len(q_ids) - 3  # slots left for context pieces
+    truncated = len(c_ids) > budget
+    c_ids = c_ids[:budget]
 
-    tokens: list[str] = [CLS]
-    flags: list[int] = [SEG_SPECIAL]
-    widx: list[int] = [-1]
-    for wi, pieces in enumerate(q_pieces):
-        for p in pieces:
-            tokens.append(p)
-            flags.append(SEG_QUESTION)
-            widx.append(wi)
-    tokens.append(SEP)
-    flags.append(SEG_SPECIAL)
-    widx.append(-1)
-
-    budget = max_len - len(tokens) - 1  # slots left for context pieces
-    truncated = False
-    used = 0
-    for wi, pieces in enumerate(c_pieces):
-        for p in pieces:
-            if used == budget:
-                truncated = True
-                break
-            tokens.append(p)
-            flags.append(SEG_CONTEXT)
-            widx.append(len(q_words) + wi)
-            used += 1
-        if truncated:
-            break
-    tokens.append(SEP)
-    flags.append(SEG_SPECIAL)
-    widx.append(-1)
-
-    ids = np.asarray(vocab.pieces_to_ids(tokens), dtype=np.int32)
+    n_q, n_c = len(q_ids), len(c_ids)
+    counts = q_counts + c_counts
+    owners = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[:n_q + n_c]
+    segments = np.array([SEG_SPECIAL, SEG_QUESTION, SEG_SPECIAL, SEG_CONTEXT, SEG_SPECIAL],
+                        dtype=np.int8)
     return TokenizedExample(
-        token_ids=ids,
-        segment_flags=np.asarray(flags, dtype=np.int8),
-        word_index=np.asarray(widx, dtype=np.int32),
-        boost=np.ones(len(ids), dtype=np.float64),
+        token_ids=vocab.pack(q_ids, c_ids),
+        segment_flags=np.repeat(segments, [1, n_q, 1, n_c, 1]),
+        word_index=np.insert(owners, [0, n_q, n_q + n_c], -1),
+        boost=np.ones(n_q + n_c + 3, dtype=np.float64),
         gold_span=None,
         truncated=truncated,
         words=q_words + c_words,
         n_question_words=len(q_words),
         context_word_spans=c_spans,
-        word_piece_counts=[len(p) for p in q_pieces] + [len(p) for p in c_pieces],
+        word_piece_counts=counts,
     )
 
 
@@ -310,18 +297,13 @@ def align_answer_span(
     if not overlapped:
         raise ValueError("span mismatch: answer does not overlap any context word")
 
-    wanted = {example.n_question_words + i for i in overlapped}
-    positions = np.flatnonzero(np.isin(example.word_index, list(wanted)))
-    if positions.size == 0:
+    # The answer's words are a run and truncation only cuts the tail, so the
+    # span is whole exactly when its last word kept all of its pieces.
+    first, last = (example.n_question_words + i for i in (overlapped[0], overlapped[-1]))
+    in_last = np.flatnonzero(example.word_index == last)
+    if in_last.size != example.word_piece_counts[last]:
         return None
-    present = set(example.word_index[positions].tolist())
-    if present != wanted:
-        return None  # split by the truncation boundary
-    last_word = max(wanted)
-    n_present = int(np.sum(example.word_index == last_word))
-    if n_present != example.word_piece_counts[last_word]:
-        return None  # final answer word split by truncation
-    return int(positions[0]), int(positions[-1])
+    return int(np.argmax(example.word_index == first)), int(in_last[-1])
 
 
 def build_boost_vector(example: TokenizedExample, dictionary: ConceptDictionary) -> np.ndarray:
@@ -331,14 +313,8 @@ def build_boost_vector(example: TokenizedExample, dictionary: ConceptDictionary)
     its n pieces in the sequence; non-dictionary words and special markers
     stay at the neutral 1.0.
     """
-    values = np.ones(len(example), dtype=np.float64)
-    widx = example.word_index
-    for wi in np.unique(widx):
-        if wi < 0:
-            continue
-        bf = dictionary.boost_of(example.words[wi])
-        if bf == 1.0:
-            continue
-        mask = widx == wi
-        values[mask] = 1.0 + (bf - 1.0) / np.count_nonzero(mask)
-    return values
+    owners = example.word_index
+    counts = np.bincount(owners[owners >= 0], minlength=len(example.words)).tolist()
+    per_word = [1.0 + (dictionary.boost_of(word) - 1.0) / n if n else 1.0
+                for word, n in zip(example.words, counts)]
+    return np.array(per_word + [1.0])[owners]  # the trailing 1.0 serves the markers' -1

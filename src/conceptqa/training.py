@@ -1,9 +1,10 @@
 """Two-stage fine-tuning: warmup schedule, AdamW, early stopping and
 concept-preserving synonym augmentation.
 
-Stage 1 adapts the LoRA adapters and span heads with a neutral boost vector;
-stage 2 switches the concept boost on and additionally trains the gate and
-the domain-embedding term.  Early stopping tracks validation exact match and
+Stage 1 adapts the LoRA adapters and span heads of the ``no_icd`` variant
+(the same parameters with the dictionary signal off); stage 2 switches the
+concept boost on and additionally trains the gate and the domain-embedding
+term.  Early stopping tracks validation exact match and
 always returns the best checkpoint seen.
 """
 
@@ -34,6 +35,8 @@ class StageConfig:
     trainable: tuple[str, ...]
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.stage == STAGE_ADAPTATION and self.boost_enabled:
             raise ValueError("adaptation stage must run with the boost disabled")
         if self.stage == STAGE_SPECIALIZATION and not self.boost_enabled:
@@ -251,25 +254,22 @@ def augment_synonym(
 # two-stage training loop
 # ---------------------------------------------------------------------------
 
-def _quick_eval(model: EncoderModel, examples, vocab: Vocab, boost_enabled: bool):
+def _quick_eval(model: EncoderModel, examples, vocab: Vocab):
     """Validation EM/F1 (percent) by greedy span prediction and text match."""
-    preds = evaluation.predict_all(model, examples, vocab,
-                                   evaluation.FULL if boost_enabled else evaluation.NO_ICD)
+    preds = evaluation.predict_all(model, examples, vocab)
     ems, f1s = zip(*(metrics.best_em_f1(p["pred_text"], enc.gold_texts)
                      for enc, p in zip(examples, preds)))
     return 100.0 * float(np.mean(ems)), 100.0 * float(np.mean(f1s))
 
 
 def _train_step(model: EncoderModel, batch: list, cfg: TrainConfig, opt_state: dict,
-                lr: float, boost_enabled: bool, trainable: tuple[str, ...]) -> list[float]:
+                lr: float, trainable: tuple[str, ...]) -> list[float]:
     """One optimizer step on the batch-mean gradient; returns per-example losses."""
     acc: dict[str, np.ndarray] = {}
     losses = []
     for enc in batch:
-        boost = None if boost_enabled else np.ones(len(enc.example))
-        loss, grads = model_mod.qa_loss_and_grads(
-            model, enc.example, boost=boost, trainable_groups=trainable
-        )
+        loss, grads = model_mod.qa_loss_and_grads(model, enc.example,
+                                                  trainable_groups=trainable)
         losses.append(loss)
         for k, g in grads.items():
             acc[k] = acc[k] + g if k in acc else g
@@ -324,6 +324,8 @@ def train_two_stage(
         # starts with a fresh non-improvement budget (the best checkpoint
         # remains global across stages)
         bad_evals = 0
+        # the boost-off stage runs the no-dictionary variant of the same parameters
+        run = model if stage.boost_enabled else evaluation.ablated_model(model, evaluation.NO_ICD)
         for _ in range(stage.epochs):
             if epochs_done >= cfg.max_epochs:
                 break
@@ -333,8 +335,8 @@ def train_two_stage(
                 batch = order[batch_start:batch_start + cfg.effective_batch]
                 lr = lr_schedule(min(global_step + 1, total_steps), cfg, total_steps)
                 try:
-                    losses += _train_step(model, [usable[j] for j in batch], cfg, opt_state,
-                                          lr, stage.boost_enabled, stage.trainable)
+                    losses += _train_step(run, [usable[j] for j in batch], cfg, opt_state,
+                                          lr, stage.trainable)
                 except FloatingPointError as exc:
                     model.params = best_params
                     raise TrainingDiverged(
@@ -343,7 +345,7 @@ def train_two_stage(
                 global_step += 1
             epochs_done += 1
 
-            val_em, val_f1 = _quick_eval(model, val_set, vocab, stage.boost_enabled)
+            val_em, val_f1 = _quick_eval(run, val_set, vocab)
             history.append(global_step, float(np.mean(losses)), val_em, val_f1, lr)
             if val_em > best_em:
                 best_em = val_em
@@ -383,7 +385,6 @@ def train_epochs_simple(
                 break
             batch = order[batch_start:batch_start + cfg.effective_batch]
             lr = lr_schedule(min(step + 1, total), cfg, total)
-            _train_step(model, [usable[j] for j in batch], cfg, opt_state, lr,
-                        boost_enabled=True, trainable=trainable)
+            _train_step(model, [usable[j] for j in batch], cfg, opt_state, lr, trainable)
             step += 1
     return model

@@ -509,6 +509,67 @@ class TestExitCodes:
         history = (out_dir / "history.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in history[1:]] == ["8"]
 
+    def test_negative_stage_epochs_is_one(self, workdir, tmp_path, capsys):
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"), "--out-dir", str(tmp_path / "run"),
+                   "--set", 'stages=[{"stage":"adaptation","epochs":-3},'
+                            '{"stage":"specialization","epochs":5}]'])
+        assert rc == 1
+        assert "setting stages.0: epochs must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_record_is_one(self, workdir, tmp_path, capsys):
+        dataset = json.loads((workdir / "flat.json").read_text())
+        dataset["records"][3]["answer_char_start"] += 1
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(dataset), encoding="utf-8")
+        rc = main(["data", "encode", "--in", str(path), "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"), "--out", str(tmp_path / "enc.jsonl")])
+        assert rc == 1
+        assert f"record {dataset['records'][3]['id']!r}: span mismatch" in \
+            capsys.readouterr().err
+
+    def test_weight_out_of_range_names_file(self, workdir, tmp_path, capsys):
+        path = tmp_path / "weights.json"
+        path.write_text('{"allah": 5}', encoding="utf-8")
+        rc = main(["icd", "build", "--corpus", str(workdir / "corpus"),
+                   "--terms", str(workdir / "terms.txt"), "--weights", str(path),
+                   "--out", str(tmp_path / "icd.json")])
+        assert rc == 1
+        assert (f"error: {path}: scholar weight for 'allah' is 5, outside [0.8, 1.2]"
+                in capsys.readouterr().err)
+
+    def test_concept_synonym_names_file(self, workdir, tmp_path, capsys):
+        path = tmp_path / "synonyms.json"
+        path.write_text('{"prophet": ["teacher"]}', encoding="utf-8")
+        rc = main(["data", "augment", "--in", str(workdir / "flat.json"),
+                   "--out", str(tmp_path / "augmented.json"), "--synonyms", str(path),
+                   "--dict", str(workdir / "icd.json")])
+        assert rc == 1
+        assert (f"error: {path}: synonym key 'prophet' is a dictionary concept term"
+                in capsys.readouterr().err)
+
+    def test_divergence_before_validation_says_so(self, workdir, tmp_path, capsys,
+                                                  monkeypatch):
+        from conceptqa import model as model_mod
+        real = model_mod.qa_loss_and_grads
+
+        def poisoned(model, example, **kwargs):
+            loss, grads = real(model, example, **kwargs)
+            grads["heads.start.bias"] = np.full_like(grads["heads.start.bias"], np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(model_mod, "qa_loss_and_grads", poisoned)
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(tmp_path / "run"), "--config", str(workdir / "config.json")])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert "no validation ran;" in out
+        assert "best val EM" not in out
+
     def test_config_override_flags_win(self, workdir, tmp_path, capsys):
         out = tmp_path / "s.json"
         rc = main(["data", "synth", "--out", str(out), "--n", "3", "--seed", "1"])

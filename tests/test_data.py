@@ -17,6 +17,7 @@ from conceptqa.data import (
     save_dataset,
     split_dataset,
 )
+from conceptqa.tokenizer import SPECIALS, Vocab
 
 
 def squad_payload():
@@ -195,6 +196,64 @@ class TestEncodeDataset:
             np.testing.assert_array_equal(a["boost"], b.example.boost)
             assert tuple(a["gold_span"]) == b.example.gold_span
             assert a["words"] == b.example.words
+
+
+    @pytest.mark.parametrize("question, start, message", [
+        ("???", 4, "record 'r1': question is empty"),
+        ("what q", 5, "record 'r1': span mismatch: context at offset 5 does not read "
+                      "'messenger'"),
+    ])
+    def test_bad_record_named_in_error(self, builtin_dict, question, start, message):
+        records = [DatasetRecord("r0", "q", "the said", "said", 4),
+                   DatasetRecord("r1", question, "The messenger said.", "messenger", start)]
+        with pytest.raises(ValueError) as exc:
+            encode_dataset(records, WRITER_VOCAB, builtin_dict)
+        assert str(exc.value) == message
+
+
+WRITER_VOCAB = Vocab(pieces=list(SPECIALS) + ["q", "what", "mess", "##enger", "the", "said"])
+WRITER_RECORDS = [
+    DatasetRecord("r1", "What q?", "The messenger said.", "messenger", 4,
+                  ["messenger", "the messenger"]),
+    DatasetRecord("r2", "q", "said the the messenger", "messenger", 13),
+]
+
+
+def test_writers_bytes(tmp_path, builtin_dict):
+    # max_len 8 truncates both contexts: r1 keeps its answer, r2 loses "##enger"
+    encoded, stats = encode_dataset(WRITER_RECORDS, WRITER_VOCAB, builtin_dict, max_len=8)
+    assert stats == {"n_examples": 2, "n_absent_spans": 1}
+    dump_encoded_jsonl(encoded, tmp_path / "encoded.jsonl")
+    assert (tmp_path / "encoded.jsonl").read_bytes() == (
+        b'{"boost": [1.0, 1.0, 1.0, 1.0, 1.0, 1.705, 1.705, 1.0], '
+        b'"context_word_spans": [[0, 3], [4, 13], [14, 19]], "gold_span": [5, 6], '
+        b'"gold_texts": ["messenger", "the messenger"], "id": "r1", "n_question_words": 2, '
+        b'"segment_flags": [0, 1, 1, 0, 2, 2, 2, 0], "token_ids": [2, 5, 4, 3, 8, 6, 7, 3], '
+        b'"truncated": true, "word_index": [-1, 0, 1, -1, 2, 3, 3, -1], '
+        b'"word_piece_counts": [1, 1, 1, 2, 1], "words": ["what", "q", "the", "messenger", '
+        b'"said"]}\n'
+        b'{"boost": [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.41, 1.0], '
+        b'"context_word_spans": [[0, 4], [5, 8], [9, 12], [13, 22]], "gold_span": null, '
+        b'"gold_texts": ["messenger"], "id": "r2", "n_question_words": 1, '
+        b'"segment_flags": [0, 1, 0, 2, 2, 2, 2, 0], "token_ids": [2, 4, 3, 9, 8, 8, 6, 3], '
+        b'"truncated": true, "word_index": [-1, 0, -1, 1, 2, 3, 4, -1], '
+        b'"word_piece_counts": [1, 1, 1, 1, 2], "words": ["q", "said", "the", "the", '
+        b'"messenger"]}\n')
+
+    save_dataset(DatasetFile(WRITER_RECORDS, "raw.json", "abc",
+                             [{"id": "r0", "reason": "no answers"}]), tmp_path / "flat.json")
+    assert (tmp_path / "flat.json").read_bytes() == (
+        b'{\n "provenance": {\n  "source_path": "raw.json",\n  "content_hash": "abc"\n },\n'
+        b' "rejected": [\n  {\n   "id": "r0",\n   "reason": "no answers"\n  }\n ],\n'
+        b' "records": [\n'
+        b'  {\n   "id": "r1",\n   "question": "What q?",\n'
+        b'   "context": "The messenger said.",\n   "answer_text": "messenger",\n'
+        b'   "answer_char_start": 4,\n'
+        b'   "all_answers": [\n    "messenger",\n    "the messenger"\n   ]\n  },\n'
+        b'  {\n   "id": "r2",\n   "question": "q",\n'
+        b'   "context": "said the the messenger",\n   "answer_text": "messenger",\n'
+        b'   "answer_char_start": 13,\n   "all_answers": []\n  }\n'
+        b' ]\n}\n')
 
 
 class TestSyntheticFixture:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import tempfile
@@ -262,6 +263,11 @@ class TestEncoderForward:
                                     ex.token_ids, ex.boost)
         h_ones = encoder_forward(small_model, ex.token_ids, np.ones(len(ex)))
         assert h_icd_off.tobytes() == h_ones.tobytes()
+
+    def test_forward_reads_the_example_boost_only(self):
+        # the dictionary is switched off by the no_icd variant, not by a boost override
+        assert "boost" not in inspect.signature(M.qa_forward).parameters
+        assert "boost" not in inspect.signature(qa_loss_and_grads).parameters
 
     def test_lora_zero_init_matches_adapter_free_model(self, small_model):
         ex = toy_example()

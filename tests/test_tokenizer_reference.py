@@ -1,0 +1,115 @@
+"""The slicing encoder matches the append-loop reference byte for byte.
+
+Random vocabularies (random pieces plus a random set of single letters, so
+words split into several pieces or fall back to [UNK]), random contexts and
+questions over a small alphabet, and ``max_len`` from "question too long" to
+"no truncation" drive ``encode_word``, ``encode_qa``, ``align_answer_span``
+and ``build_boost_vector`` through both implementations.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import tokenizer_reference as ref
+from conceptqa.dictionary import ConceptDictionary, ConceptEntry
+from conceptqa.text import normalize_words
+from conceptqa.tokenizer import (
+    CONT,
+    SPECIALS,
+    TokenizedExample,
+    Vocab,
+    align_answer_span,
+    build_boost_vector,
+    encode_qa,
+)
+
+ALPHABET = "abcde"
+WORD = st.text(ALPHABET, min_size=1, max_size=6)
+
+
+def assert_same_example(got: TokenizedExample, want: TokenizedExample) -> None:
+    for f in dataclasses.fields(TokenizedExample):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert (type(a), a) == (type(b), b), f.name
+            if isinstance(b, list):
+                assert [type(x) for x in a] == [type(x) for x in b], f.name
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def vocabularies(draw):
+    pieces = draw(st.lists(st.one_of(WORD, WORD.map(lambda w: CONT + w)),
+                           max_size=40, unique=True))
+    # with every letter as a piece, words split into several pieces instead of [UNK]
+    letters = draw(st.sets(st.sampled_from(ALPHABET)))
+    pieces += [p for c in sorted(letters) for p in (c, CONT + c) if p not in pieces]
+    return Vocab(pieces=list(SPECIALS) + pieces)
+
+
+@st.composite
+def dictionaries(draw, words):
+    terms = draw(st.lists(st.sampled_from(sorted(set(words))), unique=True)) if words else []
+    entries = {}
+    for term in terms:
+        score = draw(st.sampled_from([0.0, 0.02, 0.37, 0.5, 0.999, 1.0]))
+        entries[term] = ConceptEntry(term, score, 2.0 * score + 1.0)
+    return ConceptDictionary(entries, version="random")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_encoder_matches_reference(data):
+    vocab = data.draw(vocabularies())
+    tokens = data.draw(st.lists(
+        st.one_of(WORD, st.tuples(WORD, WORD).map("/".join), st.just(".")),
+        min_size=0, max_size=50))
+    context = " ".join(tokens)
+    question = " ".join(data.draw(st.lists(WORD, min_size=0, max_size=4)))
+    max_len = data.draw(st.integers(1, 140))
+
+    for word in normalize_words(f"{question} {context}"):
+        assert vocab.encode_word(word) == ref.encode_word(vocab, word)
+
+    want = outcome(ref.encode_qa, question, context, vocab, max_len)
+    got = outcome(encode_qa, question, context, vocab, max_len)
+    if not isinstance(want, TokenizedExample):
+        assert got == want
+        return
+    assert_same_example(got, want)
+
+    dictionary = data.draw(dictionaries(want.words))
+    b_got, b_want = build_boost_vector(got, dictionary), ref.build_boost_vector(want, dictionary)
+    assert (b_got.dtype, b_got.tobytes()) == (b_want.dtype, b_want.tobytes())
+
+    starts = [0]
+    for t in tokens:
+        starts.append(starts[-1] + len(t) + 1)
+    for _ in range(3):
+        if not tokens:
+            break
+        w0 = data.draw(st.integers(0, len(tokens) - 1))
+        w1 = data.draw(st.integers(w0, len(tokens) - 1))
+        offset = starts[w0]
+        if data.draw(st.booleans()):
+            offset = data.draw(st.integers(0, len(context)))
+        answer = context[starts[w0]:starts[w1] + len(tokens[w1])]
+        assert outcome(align_answer_span, context, answer, offset, got) == \
+            outcome(ref.align_answer_span, context, answer, offset, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocab=vocabularies(), word=st.text(ALPHABET + "#x", max_size=8))
+def test_encode_word_matches_reference(vocab, word):
+    assert vocab.encode_word(word) == ref.encode_word(vocab, word)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -232,6 +233,19 @@ class TestTrainTwoStage:
         assert model.params["gate.w"].tobytes() == gate_w.tobytes()
         assert model.params["gate.b"].tobytes() == gate_b.tobytes()
 
+    def test_stage_one_ignores_the_boost(self, training_setup):
+        # the boost-off stage is the no_icd model: all-ones boosts train it identically
+        train, val, vocab = training_setup
+        flat = [dataclasses.replace(enc, example=dataclasses.replace(
+            enc.example, boost=np.ones(len(enc.example)))) for enc in train]
+        assert any((enc.example.boost != 1.0).any() for enc in train)
+        cfg = TrainConfig(learning_rate=1e-3, warmup_steps=1, patience=2, seed=0)
+        stages = [StageConfig("adaptation", 2, False, ("lora", "heads"))]
+        m1, h1 = train_two_stage(self._model(vocab), train, val, cfg, stages, vocab=vocab)
+        m2, h2 = train_two_stage(self._model(vocab), flat, val, cfg, stages, vocab=vocab)
+        assert h1.records == h2.records
+        assert model_mod.models_equal(m1, m2)
+
     def test_full_determinism(self, training_setup):
         train, val, vocab = training_setup
         cfg = TrainConfig(learning_rate=1e-3, warmup_steps=2, patience=3, seed=7)
@@ -273,6 +287,11 @@ class TestTrainTwoStage:
             StageConfig("specialization", 5, False, ("lora",))
         with pytest.raises(ValueError, match="unknown trainable group"):
             StageConfig("adaptation", 5, False, ("bogus",))
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
+            StageConfig("adaptation", -3, False, ("lora",))
+        assert StageConfig("adaptation", 0, False, ("lora",)).epochs == 0
 
     def test_history_steps_strictly_increasing(self):
         history = TrainHistory()
