@@ -356,6 +356,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.train_first == (args.checkpoints is not None):
+        raise ValueError("ablate needs exactly one of --train-first and --checkpoints")
     cfg = _load_config(args.config, args.set)
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)

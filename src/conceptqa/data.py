@@ -24,7 +24,9 @@ from .tokenizer import (
     Vocab,
     align_answer_span,
     build_boost_vector,
+    check_answer_words,
     encode_qa,
+    question_words,
 )
 
 
@@ -80,8 +82,9 @@ def sha256_file(path: str | Path) -> str:
 def ingest_squad(path: str | Path) -> DatasetFile:
     """Flatten a v1.1-style QA JSON file into validated records.
 
-    Records whose first answer does not occur at its stated offset are
-    rejected (id and reason recorded), never silently dropped; accepted plus
+    Records whose first answer does not occur at its stated offset, whose
+    question normalizes to no word, or whose answer overlaps no context word
+    are rejected (id and reason recorded), never silently dropped; accepted plus
     rejected counts always equal the input count.  A file that does not have
     the layout raises ValueError naming the location, e.g.
     ``data[0].paragraphs[0].qas[1]: missing 'id'``.
@@ -120,10 +123,16 @@ def _flatten_squad(payload: dict) -> tuple[list[DatasetRecord], list[dict]]:
                     continue
                 text = texts[0]
                 start = _field(answers[0], "answer_start", (int,), f"{qa_at}.answers[0]")
-                if context[start:start + len(text)] != text:
+                if start < 0 or context[start:start + len(text)] != text:
                     rejected.append(
                         {"id": qa_id, "reason": f"offset {start} does not match answer text"}
                     )
+                    continue
+                try:  # what encode_qa and align_answer_span would reject
+                    question_words(question)
+                    check_answer_words(context, start, start + len(text))
+                except ValueError as exc:
+                    rejected.append({"id": qa_id, "reason": str(exc)})
                     continue
                 records.append(DatasetRecord(
                     id=qa_id,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -199,16 +199,7 @@ def save_dictionary(dictionary: ConceptDictionary, path: str | Path) -> None:
     dictionary.validate()
     payload = {
         "version": dictionary.version,
-        "entries": [
-            {
-                "term": e.term,
-                "importance_score": e.importance_score,
-                "boost_factor": e.boost_factor,
-                "category": e.category,
-                "corpus_frequency": e.corpus_frequency,
-            }
-            for e in dictionary.entries.values()
-        ],
+        "entries": [asdict(e) for e in dictionary.entries.values()],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

@@ -43,7 +43,7 @@ GROUP_FROZEN = "frozen"
 ADAPTABLE_GROUPS = (GROUP_LORA, GROUP_GATES, GROUP_HEADS, GROUP_EMBED_DOMAIN)
 
 CHECKPOINT_MAGIC = b"CQAM"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -560,13 +560,10 @@ def span_logits(model: EncoderModel, hidden: np.ndarray) -> tuple[np.ndarray, np
     return start, end
 
 
-def qa_forward(model: EncoderModel, example: TokenizedExample, return_caches: bool = False):
+def qa_forward(model: EncoderModel, example: TokenizedExample):
     """Encode an example and produce start/end logits."""
-    out = encoder_forward(model, example.token_ids, example.boost, return_caches=return_caches)
-    hidden, caches = out if return_caches else (out, None)
+    hidden = encoder_forward(model, example.token_ids, example.boost)
     start, end = span_logits(model, hidden)
-    if return_caches:
-        return start, end, hidden, caches
     return start, end, hidden
 
 
@@ -602,7 +599,9 @@ def qa_loss_and_grads(
     """Loss and exact gradients for every parameter in ``trainable_groups``."""
     if example.gold_span is None:
         raise ValueError("example has no gold span")
-    start, end, hidden, caches = qa_forward(model, example, return_caches=True)
+    hidden, caches = encoder_forward(model, example.token_ids, example.boost,
+                                     return_caches=True)
+    start, end = span_logits(model, hidden)
     loss = span_loss(start, end, example.gold_span)
     dstart, dend = _span_loss_grads(start, end, example.gold_span)
 
@@ -661,49 +660,32 @@ def predict_span(
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
-    """Deterministic binary container: JSON header + raw float32 blobs.
+    """Deterministic binary container: JSON header + raw float32 tensors.
 
-    Layout: magic "CQAM", u32 format version, u64 header length, header JSON
-    (config, seed, dictionary version, tensor table with offsets), then the
-    concatenated row-major little-endian float32 tensor payloads.  Only the
-    config's tensors are written (an ablated model may hold unused gate tensors).
+    Layout: magic "CQAM", u32 format version, u64 header length, the sorted
+    header JSON {config, seed, dictionary_version}, then each of the config's
+    tensors in name order as row-major little-endian float32.  The config fixes
+    every shape, so it is the whole layout.  Only the config's tensors are
+    written (an ablated model may hold unused gate tensors).
     """
-    names = sorted(parameter_shapes(model.config))
-    tensors = []
-    offset = 0
-    blobs = []
-    for name in names:
-        arr = np.asarray(model.params[name], dtype="<f4", order="C")
-        blob = arr.tobytes()
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                        "nbytes": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
-    header = json.dumps(
-        {
-            "format": CHECKPOINT_FORMAT,
-            "config": dataclasses.asdict(model.config),
-            "seed": model.seed,
-            "dictionary_version": model.dictionary_version,
-            "tensors": tensors,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    header = json.dumps({"config": dataclasses.asdict(model.config), "seed": model.seed,
+                         "dictionary_version": model.dictionary_version},
+                        sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.uint32(CHECKPOINT_FORMAT).tobytes())
         fh.write(np.uint64(len(header)).tobytes())
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for name in sorted(parameter_shapes(model.config)):
+            fh.write(np.asarray(model.params[name], dtype="<f4", order="C").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:
     """Read a ``save_checkpoint`` file.
 
     A truncated, malformed or inconsistent file raises ValueError naming the file
-    and the header key or tensor at fault.  The tensor table must list exactly
-    the config's tensors, in name order, with their shapes and byte counts.
+    and the header key at fault.  The header holds exactly the config, seed and
+    dictionary version, and the body exactly the config's tensors.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 16:
@@ -721,37 +703,29 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         raise ValueError(f"{path}: corrupt header: {exc}") from None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header must be an object, got {type(header).__name__}")
-    for key, kind in (("config", dict), ("seed", int), ("dictionary_version", str),
-                      ("tensors", list)):
+    kinds = {"config": dict, "seed": int, "dictionary_version": str}
+    for key, kind in kinds.items():
         if type(header.get(key)) is not kind:
             got = repr(header[key])[:60] if key in header else "nothing"
             raise ValueError(f"{path}: header {key!r} must be {kind.__name__}, got {got}")
+    if header.keys() != kinds.keys():
+        raise ValueError(f"{path}: unknown header key {min(header.keys() - kinds)!r}")
     try:
         config = read_config(ModelConfig, header["config"], "config")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    tensors = header["tensors"]
-    if config.layers > len(tensors):  # each layer has tensors of its own
-        raise ValueError(f"{path}: config has {config.layers} layers but the tensor "
-                         f"table holds only {len(tensors)} tensors")
     body = raw[16 + hlen:]
-    params = {}
-    for n, (name, shape) in enumerate(sorted(parameter_shapes(config).items())):
-        nbytes = 4 * math.prod(shape)
-        t = tensors[n] if n < len(tensors) else None
-        if not isinstance(t, dict) or (t.get("name"), t.get("shape"), t.get("nbytes")) \
-                != (name, list(shape), nbytes):
-            raise ValueError(f"{path}: tensor table entry {n} must be {name!r} with "
-                             f"{nbytes} bytes for shape {list(shape)}, got {t!r}")
-        start = t.get("offset")
-        if type(start) is not int or start < 0 or start + nbytes > len(body):
-            raise ValueError(f"{path}: tensor {name!r} at body offset {start!r}: "
-                             f"the body has {len(body)} bytes")
-        arr = np.frombuffer(body[start:start + nbytes], dtype="<f4")
-        params[name] = arr.reshape(shape).copy()
-    if len(tensors) != len(params):
-        raise ValueError(f"{path}: the tensor table has {len(tensors)} entries, "
-                         f"the config {len(params)} tensors")
+    # each layer's four hidden x hidden projections take 16 hidden² bytes
+    if 16 * config.hidden ** 2 * config.layers > len(body):
+        raise ValueError(f"{path}: config has {config.layers} layers of hidden "
+                         f"{config.hidden}, more than the {len(body)}-byte body holds")
+    shapes = sorted(parameter_shapes(config).items())
+    sizes = [math.prod(shape) for _, shape in shapes]
+    if 4 * sum(sizes) != len(body):
+        raise ValueError(f"{path}: the body has {len(body)} bytes, the config's "
+                         f"tensors take {4 * sum(sizes)}")
+    parts = np.split(np.frombuffer(body, dtype="<f4"), np.cumsum(sizes)[:-1])
+    params = {name: part.reshape(shape).copy() for (name, shape), part in zip(shapes, parts)}
     return EncoderModel(config=config, params=params, seed=header["seed"],
                         dictionary_version=header["dictionary_version"])
 

@@ -12,6 +12,7 @@ about 15.1 words).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +80,14 @@ def generate_records(
     one pad).  ``question_style`` is "generic" (no lexical pointer to the
     right slot) or "cued" (the concept agent is named in the question).
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n_slots < 1:
         raise ValueError("need at least one slot")
+    for name, target in (("target_context_words", target_context_words),
+                         ("target_question_words", target_question_words)):
+        if target is not None and not 0 < target < math.inf:
+            raise ValueError(f"{name} must be a positive number, got {target}")
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n):

@@ -226,6 +226,34 @@ def _fragments(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     return words, spans
 
 
+def question_words(question: str) -> list[str]:
+    """Normalized words of ``question``; ValueError when it has none."""
+    words = normalize_words(question)
+    if not words:
+        raise ValueError("question is empty")
+    return words
+
+
+def answer_words(spans: list[tuple[int, int]], start: int, end: int) -> list[int]:
+    """Indices of the word ``spans`` that overlap the answer's characters
+    [start, end); ValueError when none does."""
+    overlapped = [i for i, (s, e) in enumerate(spans) if s < end and e > start]
+    if not overlapped:
+        raise ValueError("span mismatch: answer does not overlap any context word")
+    return overlapped
+
+
+def check_answer_words(context: str, start: int, end: int) -> None:
+    """``answer_words`` over the context words of ``encode_qa``, reading only the
+    raw words that touch [start, end)."""
+    left, right = start, end
+    while left > 0 and not context[left - 1].isspace():
+        left -= 1
+    while right < len(context) and not context[right].isspace():
+        right += 1
+    answer_words(_fragments(context[left:right])[1], start - left, end - left)
+
+
 def encode_qa(
     question: str,
     context: str,
@@ -238,9 +266,7 @@ def encode_qa(
     including [CLS] and its [SEP]); the context is truncated from the tail
     when the total would exceed ``max_len``.
     """
-    q_words = normalize_words(question)
-    if not q_words:
-        raise ValueError("question is empty")
+    q_words = question_words(question)
     c_words, c_spans = _fragments(context)
 
     q_ids, q_counts = vocab.encode_words(q_words)
@@ -290,13 +316,7 @@ def align_answer_span(
             f"span mismatch: context at offset {answer_char_start} does not read {answer_text!r}"
         )
 
-    overlapped = [
-        i for i, (s, e) in enumerate(example.context_word_spans)
-        if s < end_char and e > answer_char_start
-    ]
-    if not overlapped:
-        raise ValueError("span mismatch: answer does not overlap any context word")
-
+    overlapped = answer_words(example.context_word_spans, answer_char_start, end_char)
     # The answer's words are a run and truncation only cuts the tail, so the
     # span is whole exactly when its last word kept all of its pieces.
     first, last = (example.n_question_words + i for i in (overlapped[0], overlapped[-1]))

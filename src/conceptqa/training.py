@@ -264,18 +264,23 @@ def _quick_eval(model: EncoderModel, examples, vocab: Vocab):
 
 def _train_step(model: EncoderModel, batch: list, cfg: TrainConfig, opt_state: dict,
                 lr: float, trainable: tuple[str, ...]) -> list[float]:
-    """One optimizer step on the batch-mean gradient; returns per-example losses."""
+    """One optimizer step on the batch-mean gradient; returns per-example losses.
+
+    The first overflow or invalid value anywhere in the step raises
+    FloatingPointError, not a numpy warning.
+    """
     acc: dict[str, np.ndarray] = {}
     losses = []
-    for enc in batch:
-        loss, grads = model_mod.qa_loss_and_grads(model, enc.example,
-                                                  trainable_groups=trainable)
-        losses.append(loss)
-        for k, g in grads.items():
-            acc[k] = acc[k] + g if k in acc else g
-    for k in acc:
-        acc[k] = acc[k] / len(batch)
-    optimizer_step(model.params, acc, opt_state, cfg, lr=lr)
+    with np.errstate(over="raise", invalid="raise"):
+        for enc in batch:
+            loss, grads = model_mod.qa_loss_and_grads(model, enc.example,
+                                                      trainable_groups=trainable)
+            losses.append(loss)
+            for k, g in grads.items():
+                acc[k] = acc[k] + g if k in acc else g
+        for k in acc:
+            acc[k] = acc[k] / len(batch)
+        optimizer_step(model.params, acc, opt_state, cfg, lr=lr)
     return losses
 
 
@@ -293,7 +298,8 @@ def train_two_stage(
     evaluations ends the current stage; the best checkpoint is tracked
     globally and is what the call returns.  Examples whose gold span fell
     outside the packed sequence are skipped (counted in the history).  A
-    non-finite gradient raises TrainingDiverged carrying the best checkpoint.
+    non-finite gradient or an overflow in a step raises TrainingDiverged
+    carrying the best checkpoint.
     """
     if vocab is None:
         raise ValueError("a vocabulary is required for validation decoding")

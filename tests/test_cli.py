@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -219,23 +221,13 @@ class TestTrainEvalPredict:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda h: h["config"].update(bogus=1), "unknown config key"),
-        (lambda h: h["tensors"][0].update(nbytes=h["tensors"][0]["nbytes"] + 4),
-         "bytes for shape"),
-        (lambda h: h["tensors"][-1].update(offset=h["tensors"][-1]["offset"] + 4),
-         "the body has"),
-        (lambda h: h["tensors"].pop(),
-         "tensor table entry 34 must be 'layer0.ln2.gamma' with 64 bytes for shape [16], "
-         "got None"),
-        (lambda h: h["tensors"][0].update(shape=[2, 2]),
-         "tensor table entry 0 must be 'embed.domain_projection' with 1024 bytes for shape "
-         "[16, 16], got"),
-        (lambda h: h["tensors"][0].update(offset=0.0),
-         "tensor 'embed.domain_projection' at body offset 0.0: the body has"),
+        (lambda h: h["config"].update(vocab_size=257),
+         "the body has 57992 bytes, the config's tensors take 58056"),
+        (lambda h: h.update(tensors=[]), "unknown header key 'tensors'"),
+        (lambda h: h["config"].update(layers=10**9),
+         "config has 1000000000 layers of hidden 16, more than the 57992-byte body holds"),
         (lambda h: h.update(config=3), "header 'config' must be dict, got 3"),
         (lambda h: h["config"].update(layers="2"), "config 'layers' must be int, got '2'"),
-        (lambda h: h.pop("tensors"), "header 'tensors' must be list, got nothing"),
-        (lambda h: h.update(tensors=h["tensors"] + h["tensors"][:1]),
-         "the tensor table has 36 entries, the config 35 tensors"),
     ])
     def test_predict_rejects_inconsistent_checkpoint(self, workdir, trained, tmp_path,
                                                      capsys, edit, message):
@@ -253,6 +245,25 @@ class TestTrainEvalPredict:
                    "--out", str(tmp_path / "preds.json")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-4], "the body has 57988 bytes, the config's tensors take 57992"),
+        (lambda raw: raw + raw[-4:], "the body has 57996 bytes, the config's tensors take"),
+        (lambda raw: raw[:4] + np.uint32(1).tobytes() + raw[8:],
+         "unsupported checkpoint format 1"),
+    ], ids=["float_cut", "float_added", "format_1"])
+    def test_predict_rejects_wrong_body_or_format(self, workdir, trained, tmp_path, capsys,
+                                                  edit, message):
+        bad = tmp_path / "edited.bin"
+        bad.write_bytes(edit((trained / "checkpoint.bin").read_bytes()))
+        rc = main(["predict", "--checkpoint", str(bad),
+                   "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out", str(tmp_path / "preds.json")])
+        assert rc == 1
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "preds.json").exists()
 
     def test_predict_rejects_non_object_header(self, workdir, trained, tmp_path, capsys):
         raw = (trained / "checkpoint.bin").read_bytes()
@@ -575,3 +586,43 @@ class TestExitCodes:
         rc = main(["data", "synth", "--out", str(out), "--n", "3", "--seed", "1"])
         assert rc == 0
         assert len(json.loads(out.read_text())["data"][0]["paragraphs"]) == 3
+
+    def test_divergence_raises_at_the_first_overflow(self, workdir, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--data", str(workdir / "flat.json"),
+                       "--vocab", str(workdir / "vocab.json"),
+                       "--dict", str(workdir / "icd.json"),
+                       "--out-dir", str(tmp_path / "run"), "--config",
+                       str(workdir / "config.json"),
+                       "--set", "train.learning_rate=1e30", "--set", "train.warmup_steps=2"])
+        assert rc == 2
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+        assert re.search(r"runtime error: TrainingDiverged: (overflow|invalid value) "
+                         r"encountered in \w+ at step \d+; kept the parameters of step 0$",
+                         capsys.readouterr().err.strip())
+
+    @pytest.mark.parametrize("flags", [[], ["--train-first", "--checkpoints", "."]],
+                             ids=["neither", "both"])
+    def test_ablate_needs_one_model_source(self, workdir, tmp_path, capsys, flags):
+        rc = main(["ablate", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(tmp_path / "abl"), *flags])
+        assert rc == 1
+        assert ("error: ablate needs exactly one of --train-first and --checkpoints"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "abl").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "-3"], "n must be >= 0, got -3"),
+        (["--context-words", "-5"], "target_context_words must be a positive number, got -5.0"),
+        (["--question-words", "0"], "target_question_words must be a positive number, got 0.0"),
+        (["--context-words", "nan"], "target_context_words must be a positive number, got nan"),
+    ])
+    def test_bad_synth_setting_is_one(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s.json"
+        rc = main(["data", "synth", "--out", str(out), *flags])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()

@@ -126,6 +126,52 @@ class TestIngest:
                 save_dataset(dataset, out)
                 assert load_dataset(out).records == dataset.records
 
+    @pytest.mark.parametrize("question, answer, start, reason", [
+        ("???", "patience", 15, "question is empty"),
+        ("what was spoken of", ".", 40,
+         "span mismatch: answer does not overlap any context word"),
+        # context[-12:-2] reads the answer, but encoding wants a real offset
+        ("what was spoken of", "conviction", -12, "offset -12 does not match answer text"),
+    ])
+    def test_unencodable_record_rejected_with_reason(self, tmp_path, question, answer, start,
+                                                     reason):
+        payload = squad_payload()
+        qa = payload["data"][0]["paragraphs"][0]["qas"][0]
+        qa["question"] = question
+        qa["answers"] = [{"text": answer, "answer_start": start}]
+        path = tmp_path / "squad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        dataset = ingest_squad(path)
+        assert [r.id for r in dataset.records] == ["q2", "q3"]
+        assert dataset.rejected == [{"id": "q1", "reason": reason}]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_ingest_accepts_exactly_what_encodes(self, builtin_dict, data):
+        words = st.sampled_from(["salim", "spoke", ".", "...", "(mercy)", "a/b", "-",
+                                 "ṣaḥīḥ", "ʿ", "’", "x.y"])
+        gaps = st.sampled_from([" ", "  ", "\n", "\t "])
+        tokens = data.draw(st.lists(st.tuples(words, gaps), min_size=1, max_size=8))
+        context = data.draw(st.sampled_from(["", " "])) + "".join(w + g for w, g in tokens)
+        start = data.draw(st.integers(0, len(context)), label="start")
+        end = data.draw(st.integers(start, len(context)), label="end")
+        question = data.draw(st.sampled_from(["who spoke", "???", "ʿ", "what of (mercy)"]))
+        answer = context[start:end]
+        payload = {"data": [{"paragraphs": [{"context": context, "qas": [
+            {"id": "q", "question": question,
+             "answers": [{"text": answer, "answer_start": start}]}]}]}]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "squad.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            dataset = ingest_squad(path)
+        record = DatasetRecord("q", question, context, answer, start, [answer])
+        try:
+            encode_dataset([record], Vocab(pieces=list(SPECIALS)), builtin_dict)
+        except ValueError as exc:
+            assert dataset.rejected == [{"id": "q", "reason": str(exc).split(": ", 1)[1]}]
+        else:
+            assert dataset.records == [record] and not dataset.rejected
+
     def test_round_trip_dataset_file(self, tmp_path):
         path = tmp_path / "squad.json"
         path.write_text(json.dumps(squad_payload()), encoding="utf-8")

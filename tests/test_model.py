@@ -3,6 +3,7 @@ import gc
 import inspect
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -268,6 +269,10 @@ class TestEncoderForward:
         # the dictionary is switched off by the no_icd variant, not by a boost override
         assert "boost" not in inspect.signature(M.qa_forward).parameters
         assert "boost" not in inspect.signature(qa_loss_and_grads).parameters
+
+    def test_qa_forward_is_forward_only(self):
+        # training calls encoder_forward for the caches; qa_forward only predicts
+        assert list(inspect.signature(M.qa_forward).parameters) == ["model", "example"]
 
     def test_lora_zero_init_matches_adapter_free_model(self, small_model):
         ex = toy_example()
@@ -671,6 +676,65 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError, match="not a model checkpoint"):
             load_checkpoint(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
+        path = tmp_path / "model.bin"
+        save_checkpoint(build_model(cfg, seed=5), path)
+        path.write_bytes(path.read_bytes() + bytes(1000))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the body has "
+                                             "19504 bytes, the config's tensors take 18504$"):
+            load_checkpoint(path)
+
+    def test_header_holds_the_config_seed_and_dictionary_version_only(self, tmp_path):
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
+        path = tmp_path / "model.bin"
+        save_checkpoint(build_model(cfg, seed=5, dictionary_version="v"), path)
+        raw = path.read_bytes()
+        assert raw[4:8] == np.uint32(2).tobytes() and M.CHECKPOINT_FORMAT == 2
+        hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+        assert json.loads(raw[16:16 + hlen]) == {
+            "config": dataclasses.asdict(cfg), "seed": 5, "dictionary_version": "v"}
+        body = np.frombuffer(raw[16 + hlen:], dtype="<f4")
+        model = build_model(cfg, seed=5)
+        expected = [model.params[name].ravel() for name in sorted(parameter_shapes(cfg))]
+        assert body.tobytes() == np.concatenate(expected).astype("<f4").tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_and_any_resized_body_rejected(self, data):
+        heads = data.draw(st.integers(1, 3), label="heads")
+        cfg = ModelConfig(
+            layers=data.draw(st.integers(1, 3), label="layers"),
+            hidden=heads * data.draw(st.integers(1, 3), label="head_dim"),
+            heads=heads,
+            max_len=data.draw(st.integers(1, 12), label="max_len"),
+            vocab_size=data.draw(st.integers(1, 12), label="vocab_size"),
+            lora_rank=data.draw(st.integers(1, 3), label="lora_rank"),
+            max_rel_distance=data.draw(st.integers(0, 3), label="max_rel_distance"),
+            gate_mode=data.draw(st.sampled_from(["shared", "per_layer", "off"]),
+                                label="gate_mode"),
+            boost_mode=data.draw(st.sampled_from(["residual_gate", "attention_score", "off"]),
+                                 label="boost_mode"),
+            ffn_multiplier=data.draw(st.integers(1, 2), label="ffn_multiplier"),
+        )
+        model = build_model(cfg, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                            dictionary_version=data.draw(st.text(max_size=5), label="dv"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.bin"
+            save_checkpoint(model, path)
+            loaded = load_checkpoint(path)
+            assert models_equal(model, loaded)
+            assert (loaded.seed, loaded.dictionary_version) == \
+                (model.seed, model.dictionary_version)
+            raw = path.read_bytes()
+            hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+            body = len(raw) - 16 - hlen
+            assert body == 4 * sum(p.size for p in model.params.values())
+            cut = data.draw(st.integers(-body, 64).filter(bool), label="bytes cut or added")
+            path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(range(cut)))
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_checkpoint(path)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
