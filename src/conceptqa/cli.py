@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: icd build|show, data ingest|split|augment|synth, vocab train,
-train, eval, ablate, predict, gradcheck.  Settings come from a JSON config
-file with flat --set overrides (flags win).  Every command writes a manifest
-(resolved settings, seed, input hashes, tool version) next to its outputs.
+Subcommands: icd build|show, data ingest|split|augment|encode|synth, vocab
+train, train, eval, ablate, predict, gradcheck.  Settings come from a JSON
+config file with flat --set overrides (flags win); each section is read by
+``model.read_config``.  Every command writes a manifest (resolved settings,
+seed, input hashes, tool version) next to its outputs.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
@@ -35,7 +36,7 @@ DEFAULT_CONFIG = {
     "model": dataclasses.asdict(model_mod.ModelConfig()),
     "train": dataclasses.asdict(training.TrainConfig()),
     "stages": [{"stage": s.stage, "epochs": s.epochs} for s in training.default_stages()],
-    "split": {"ratios": [0.8, 0.1, 0.1], "seed": 0},
+    "split": dataclasses.asdict(data_mod.SplitConfig()),
 }
 
 
@@ -84,14 +85,15 @@ def _write_manifest(out_dir: Path, command: str, settings: dict,
         fh.write("\n")
 
 
-def _model_config(cfg: dict, vocab_size: int | None = None) -> model_mod.ModelConfig:
+def _model_config(cfg: dict, vocab_size: int) -> model_mod.ModelConfig:
     settings = cfg["model"]
-    if vocab_size is not None and isinstance(settings, dict):
+    if isinstance(settings, dict):  # the vocabulary fixes vocab_size
         settings = {**settings, "vocab_size": vocab_size}
-    return model_mod.read_config(model_mod.ModelConfig, settings, "setting", "model")
+    return model_mod.read_config(model_mod.ModelConfig(), settings, "setting", "model")
 
 
 def _stages(cfg: dict) -> list[training.StageConfig]:
+    """Each entry over the defaults of its ``stage``, which fixes ``boost_enabled``."""
     defaults = {s.stage: s for s in training.default_stages()}
     if not isinstance(cfg["stages"], list):
         raise ValueError(f"setting stages must be a list, got {cfg['stages']!r}")
@@ -102,44 +104,14 @@ def _stages(cfg: dict) -> list[training.StageConfig]:
         if raw.get("stage") not in tuple(defaults):
             raise ValueError(f"setting stages.{n}.stage must be one of {sorted(defaults)}, "
                              f"got {raw.get('stage')!r}")
-        unknown = set(raw) - {"stage", "epochs", "trainable"}
-        if unknown:
-            raise ValueError(f"unknown setting(s) stages.{n}: {sorted(unknown)}")
-        base = defaults[raw["stage"]]
-        epochs = raw.get("epochs", base.epochs)
-        if type(epochs) is not int:
-            raise ValueError(f"setting stages.{n}.epochs must be int, got {epochs!r}")
-        trainable = raw.get("trainable", base.trainable)
-        if not isinstance(trainable, (list, tuple)):
-            raise ValueError(f"setting stages.{n}.trainable must be a list, got {trainable!r}")
-        try:
-            out.append(training.StageConfig(raw["stage"], epochs, base.boost_enabled,
-                                            tuple(trainable)))
-        except ValueError as exc:
-            raise ValueError(f"setting stages.{n}: {exc}") from None
+        out.append(model_mod.read_config(defaults[raw["stage"]], raw, "setting",
+                                         f"stages.{n}", fixed=("boost_enabled",)))
     return out
 
 
-def _split(cfg: dict) -> tuple[tuple[float, float, float], int]:
-    """The (train, val, test) ratios and the seed of the split settings."""
-    split = cfg["split"]
-    if not isinstance(split, dict):
-        raise ValueError(f"setting split must be an object, got {split!r}")
-    unknown = set(split) - {"ratios", "seed"}
-    if unknown:
-        raise ValueError(f"unknown setting(s) split: {sorted(unknown)}")
-    ratios = split["ratios"]
-    if not (isinstance(ratios, list) and len(ratios) == 3
-            and all(type(r) in (int, float) and r >= 0 for r in ratios)):
-        raise ValueError(f"setting split.ratios must be a list of 3 numbers >= 0, "
-                         f"got {ratios!r}")
-    if type(split["seed"]) is not int:
-        raise ValueError(f"setting split.seed must be int, got {split['seed']!r}")
-    return tuple(ratios), split["seed"]
-
-
-def _train_config(cfg: dict) -> training.TrainConfig:
-    return model_mod.read_config(training.TrainConfig, cfg["train"], "setting", "train")
+def _section(cfg: dict, name: str, default):
+    """Settings section ``name`` over config dataclass instance ``default``."""
+    return model_mod.read_config(default, cfg[name], "setting", name)
 
 
 def _check_dictionary_version(model: model_mod.EncoderModel, dictionary) -> None:
@@ -199,9 +171,9 @@ def cmd_data_ingest(args) -> int:
 
 def cmd_data_split(args) -> int:
     cfg = _load_config(args.config, args.set)
-    ratios, seed = _split(cfg)
+    split = _section(cfg, "split", data_mod.SplitConfig())
     dataset = data_mod.load_dataset(args.input)
-    train, val, test = data_mod.split_dataset(dataset, ratios=ratios, seed=seed)
+    train, val, test = data_mod.split_dataset(dataset, split.ratios, split.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -212,8 +184,8 @@ def cmd_data_split(args) -> int:
                                                    content_hash=dataset.content_hash), path)
         outputs.append(str(path))
         print(f"{name}: {len(records)} records -> {path}")
-    _write_manifest(out_dir, "data split", {"ratios": list(ratios), "seed": seed},
-                    [args.input], outputs, seed=seed)
+    _write_manifest(out_dir, "data split", dataclasses.asdict(split),
+                    [args.input], outputs, seed=split.seed)
     return 0
 
 
@@ -293,14 +265,13 @@ def cmd_train(args) -> int:
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
     dataset = data_mod.load_dataset(args.data)
-    ratios, split_seed = _split(cfg)
-    train_recs, val_recs, test_recs = data_mod.split_dataset(dataset, ratios, split_seed)
-
+    split = _section(cfg, "split", data_mod.SplitConfig())
     mcfg = _model_config(cfg, vocab_size=len(vocab))
-    tcfg = _train_config(cfg)
+    tcfg = _section(cfg, "train", training.TrainConfig())
     stages = _stages(cfg)
-    enc_train, tr_stats = data_mod.encode_dataset(train_recs, vocab, dictionary, mcfg.max_len)
-    enc_val, _ = data_mod.encode_dataset(val_recs, vocab, dictionary, mcfg.max_len)
+    enc_train, enc_val = (
+        data_mod.encode_dataset(recs, vocab, dictionary, mcfg.max_len)[0]
+        for recs in data_mod.split_dataset(dataset, split.ratios, split.seed)[:2])
 
     model = model_mod.build_model(mcfg, seed=tcfg.seed,
                                   dictionary_version=dictionary.version)
@@ -362,14 +333,13 @@ def cmd_ablate(args) -> int:
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
     dataset = data_mod.load_dataset(args.data)
-    ratios, split_seed = _split(cfg)
-    train_recs, val_recs, test_recs = data_mod.split_dataset(dataset, ratios, split_seed)
-
+    split = _section(cfg, "split", data_mod.SplitConfig())
     mcfg = _model_config(cfg, vocab_size=len(vocab))
-    tcfg = _train_config(cfg)
-    enc_train, _ = data_mod.encode_dataset(train_recs, vocab, dictionary, mcfg.max_len)
-    enc_val, _ = data_mod.encode_dataset(val_recs, vocab, dictionary, mcfg.max_len)
-    enc_test, _ = data_mod.encode_dataset(test_recs, vocab, dictionary, mcfg.max_len)
+    tcfg = _section(cfg, "train", training.TrainConfig())
+    stages = _stages(cfg)
+    enc_train, enc_val, enc_test = (
+        data_mod.encode_dataset(recs, vocab, dictionary, mcfg.max_len)[0]
+        for recs in data_mod.split_dataset(dataset, split.ratios, split.seed))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -379,8 +349,8 @@ def cmd_ablate(args) -> int:
             vcfg = evaluation.apply_ablation(mcfg, variant)
             model = model_mod.build_model(vcfg, seed=tcfg.seed,
                                           dictionary_version=dictionary.version)
-            model, _ = training.train_two_stage(model, enc_train, enc_val, tcfg,
-                                                _stages(cfg), vocab=vocab)
+            model, _ = training.train_two_stage(model, enc_train, enc_val, tcfg, stages,
+                                                vocab=vocab)
             model_mod.save_checkpoint(model, out_dir / f"checkpoint-{variant}.bin")
         else:
             path = Path(args.checkpoints) / f"checkpoint-{variant}.bin"
@@ -562,6 +532,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # data synth, data augment, gradcheck
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError, DictionaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,6 +180,20 @@ def _dataset_from_payload(payload: dict) -> DatasetFile:
     )
 
 
+@dataclass(frozen=True)
+class SplitConfig:
+    """The ``split`` settings: (train, val, test) ratios and the permutation seed."""
+    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    seed: int = 0
+
+    def __post_init__(self):
+        if len(self.ratios) != 3 or not all(type(r) in (int, float) and r >= 0
+                                            for r in self.ratios):
+            raise ValueError(f"ratios must be 3 numbers >= 0, got {list(self.ratios)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
 def split_dataset(
     data: DatasetFile,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),

@@ -84,26 +84,32 @@ class ModelConfig:
         return self.lora_alpha / self.lora_rank
 
 
-def read_config(cls, values, kind: str, section: str = ""):
-    """``cls(**values)`` for config dataclass ``cls``, with ``values`` read from JSON.
+def read_config(default, values, kind: str, section: str = "", fixed: tuple[str, ...] = ()):
+    """Config dataclass instance ``default`` with the fields in JSON object ``values``.
 
-    Each value must have the exact type of its field's default; an int stands
-    for a float.  A non-object, an unknown key or a wrong type raises ValueError
-    naming ``{kind} '{section}.{key}'``, e.g. "setting 'model.hidden' must be int".
+    Each value must have the exact type of its default; an int stands for a
+    float and a list for a tuple.  A non-object, a key that is not a field or
+    is one of the ``fixed`` fields, or a wrong type raises ValueError naming
+    ``{kind} '{section}.{key}'``, e.g. "setting 'model.hidden' must be int".
     """
     where = f"{kind} {section}" if section else kind
     if type(values) is not dict:
         raise ValueError(f"{where} must be an object, got {values!r}")
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    kinds = {f.name: type(getattr(default, f.name))
+             for f in dataclasses.fields(default) if f.name not in fixed}
+    read = {}
     for key, value in values.items():
         label = f"{section}.{key}" if section else key
         if key not in kinds:
             raise ValueError(f"unknown {kind} key {label!r}")
+        if (kinds[key], type(value)) == (tuple, list):
+            value = tuple(value)
         if type(value) is not kinds[key] and (kinds[key], type(value)) != (float, int):
-            raise ValueError(f"{kind} {label!r} must be {kinds[key].__name__}, "
-                             f"got {value!r}")
+            name = "list" if kinds[key] is tuple else kinds[key].__name__
+            raise ValueError(f"{kind} {label!r} must be {name}, got {value!r}")
+        read[key] = value
     try:
-        return cls(**values)
+        return dataclasses.replace(default, **read)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -711,7 +717,7 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
     if header.keys() != kinds.keys():
         raise ValueError(f"{path}: unknown header key {min(header.keys() - kinds)!r}")
     try:
-        config = read_config(ModelConfig, header["config"], "config")
+        config = read_config(ModelConfig(), header["config"], "config")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     body = raw[16 + hlen:]

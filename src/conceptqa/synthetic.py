@@ -82,8 +82,9 @@ def generate_records(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n_slots < 1:
-        raise ValueError("need at least one slot")
+    max_slots = min(len(FILLER_AGENTS) + 1, len(ANSWER_WORDS))
+    if not 1 <= n_slots <= max_slots:
+        raise ValueError(f"n_slots (--slots) must be between 1 and {max_slots}, got {n_slots}")
     for name, target in (("target_context_words", target_context_words),
                          ("target_question_words", target_question_words)):
         if target is not None and not 0 < target < math.inf:

@@ -4,12 +4,14 @@ concept-preserving synonym augmentation.
 Stage 1 adapts the LoRA adapters and span heads of the ``no_icd`` variant
 (the same parameters with the dictionary signal off); stage 2 switches the
 concept boost on and additionally trains the gate and the domain-embedding
-term.  Early stopping tracks validation exact match and
-always returns the best checkpoint seen.
+term.  Early stopping tracks validation exact match and always returns the
+best checkpoint seen.  Both loops, two-stage and budgeted, run on one seeded
+iterator of ``(step, lr, batch)``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -68,9 +70,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.effective_batch, self.warmup_steps,
-               self.max_epochs, self.patience) <= 0:
-            raise ValueError("all training settings must be positive")
+        for names, rule, ok in (
+                ("learning_rate effective_batch warmup_steps max_epochs patience eps", "> 0",
+                 lambda v: v > 0),
+                ("beta1 beta2", "in [0, 1)", lambda v: 0 <= v < 1),
+                ("weight_decay seed", ">= 0", lambda v: v >= 0)):
+            for name in names.split():
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -262,25 +269,41 @@ def _quick_eval(model: EncoderModel, examples, vocab: Vocab):
     return 100.0 * float(np.mean(ems)), 100.0 * float(np.mean(f1s))
 
 
-def _train_step(model: EncoderModel, batch: list, cfg: TrainConfig, opt_state: dict,
-                lr: float, trainable: tuple[str, ...]) -> list[float]:
+def _steps(usable: list, cfg: TrainConfig, total_steps: int):
+    """Yield ``(step, lr, batch)`` forever from step 1: each epoch slices one seeded
+    permutation of ``usable``; ``lr`` holds its last value past ``total_steps``."""
+    rng = np.random.default_rng(cfg.seed)
+    step = 0
+    while True:
+        order = rng.permutation(len(usable))
+        for start in range(0, len(order), cfg.effective_batch):
+            step += 1
+            yield (step, lr_schedule(min(step, total_steps), cfg, total_steps),
+                   [usable[j] for j in order[start:start + cfg.effective_batch]])
+
+
+def _train_step(model: EncoderModel, step: int, lr: float, batch: list, cfg: TrainConfig,
+                opt_state: dict, trainable: tuple[str, ...]) -> list[float]:
     """One optimizer step on the batch-mean gradient; returns per-example losses.
 
     The first overflow or invalid value anywhere in the step raises
-    FloatingPointError, not a numpy warning.
+    FloatingPointError naming the step, not a numpy warning.
     """
     acc: dict[str, np.ndarray] = {}
     losses = []
-    with np.errstate(over="raise", invalid="raise"):
-        for enc in batch:
-            loss, grads = model_mod.qa_loss_and_grads(model, enc.example,
-                                                      trainable_groups=trainable)
-            losses.append(loss)
-            for k, g in grads.items():
-                acc[k] = acc[k] + g if k in acc else g
-        for k in acc:
-            acc[k] = acc[k] / len(batch)
-        optimizer_step(model.params, acc, opt_state, cfg, lr=lr)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for enc in batch:
+                loss, grads = model_mod.qa_loss_and_grads(model, enc.example,
+                                                          trainable_groups=trainable)
+                losses.append(loss)
+                for k, g in grads.items():
+                    acc[k] = acc[k] + g if k in acc else g
+            for k in acc:
+                acc[k] = acc[k] / len(batch)
+            optimizer_step(model.params, acc, opt_state, cfg, lr=lr)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} at step {step}") from exc
     return losses
 
 
@@ -307,23 +330,18 @@ def train_two_stage(
         raise ValueError("empty split")
     stages = stages if stages is not None else default_stages()
 
-    history = TrainHistory()
     usable = [e for e in train_set if e.example.gold_span is not None]
-    history.skipped_truncated = len(train_set) - len(usable)
+    history = TrainHistory(skipped_truncated=len(train_set) - len(usable))
     if not usable:
         raise ValueError("no trainable examples: every gold span was truncated away")
 
     steps_per_epoch = math.ceil(len(usable) / cfg.effective_batch)
-    planned_epochs = min(sum(s.epochs for s in stages), cfg.max_epochs)
-    total_steps = planned_epochs * steps_per_epoch
+    total_steps = min(sum(s.epochs for s in stages), cfg.max_epochs) * steps_per_epoch
     lr_schedule(0, cfg, total_steps)  # validates the schedule up front
 
-    rng = np.random.default_rng(cfg.seed)
+    steps = _steps(usable, cfg, total_steps)
     opt_state = init_optimizer_state({})
     best_params = {k: v.copy() for k, v in model.params.items()}
-    best_em = -1.0
-    global_step = 0
-    epochs_done = 0
 
     for stage in stages:
         # patience is per stage: a new stage changes the objective, so it
@@ -332,31 +350,23 @@ def train_two_stage(
         bad_evals = 0
         # the boost-off stage runs the no-dictionary variant of the same parameters
         run = model if stage.boost_enabled else evaluation.ablated_model(model, evaluation.NO_ICD)
-        for _ in range(stage.epochs):
-            if epochs_done >= cfg.max_epochs:
-                break
-            order = rng.permutation(len(usable))
+        # one history record per epoch run, up to max_epochs over all stages
+        for _ in range(min(stage.epochs, cfg.max_epochs - len(history.records))):
             losses = []
-            for batch_start in range(0, len(order), cfg.effective_batch):
-                batch = order[batch_start:batch_start + cfg.effective_batch]
-                lr = lr_schedule(min(global_step + 1, total_steps), cfg, total_steps)
+            for step, lr, batch in itertools.islice(steps, steps_per_epoch):
                 try:
-                    losses += _train_step(run, [usable[j] for j in batch], cfg, opt_state,
-                                          lr, stage.trainable)
+                    losses += _train_step(run, step, lr, batch, cfg, opt_state, stage.trainable)
                 except FloatingPointError as exc:
                     model.params = best_params
                     raise TrainingDiverged(
-                        f"{exc} at step {global_step + 1}; kept the parameters of "
-                        f"step {max(history.best_step, 0)}", model, history) from exc
-                global_step += 1
-            epochs_done += 1
+                        f"{exc}; kept the parameters of step {max(history.best_step, 0)}",
+                        model, history) from exc
 
             val_em, val_f1 = _quick_eval(run, val_set, vocab)
-            history.append(global_step, float(np.mean(losses)), val_em, val_f1, lr)
-            if val_em > best_em:
-                best_em = val_em
+            history.append(step, float(np.mean(losses)), val_em, val_f1, lr)
+            if val_em > history.best_em:
                 best_params = {k: v.copy() for k, v in model.params.items()}
-                history.best_step = global_step
+                history.best_step = step
                 history.best_em = val_em
                 bad_evals = 0
             else:
@@ -376,21 +386,15 @@ def train_epochs_simple(
     trainable: tuple[str, ...] = ADAPTABLE_GROUPS,
     total_steps: int | None = None,
 ) -> EncoderModel:
-    """Budgeted single-stage loop (no validation); used by sanity checks."""
+    """Budgeted single-stage loop (no validation); used by sanity checks.
+
+    An overflow or a non-finite gradient raises FloatingPointError naming the step.
+    """
     usable = [e for e in train_set if e.example.gold_span is not None]
     if not usable:
         raise ValueError("no trainable examples")
-    rng = np.random.default_rng(cfg.seed)
     opt_state = init_optimizer_state({})
     total = total_steps if total_steps is not None else max_steps
-    step = 0
-    while step < max_steps:
-        order = rng.permutation(len(usable))
-        for batch_start in range(0, len(order), cfg.effective_batch):
-            if step >= max_steps:
-                break
-            batch = order[batch_start:batch_start + cfg.effective_batch]
-            lr = lr_schedule(min(step + 1, total), cfg, total)
-            _train_step(model, [usable[j] for j in batch], cfg, opt_state, lr, trainable)
-            step += 1
+    for step, lr, batch in itertools.islice(_steps(usable, cfg, total), max_steps):
+        _train_step(model, step, lr, batch, cfg, opt_state, trainable)
     return model

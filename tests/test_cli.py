@@ -325,6 +325,15 @@ class TestTrainEvalPredict:
                    "--checkpoints", str(tmp_path)])
         assert rc == 1
 
+    def test_ablate_checks_stages_before_loading_checkpoints(self, workdir, tmp_path, capsys):
+        rc = main(["ablate", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(tmp_path / "abl"),
+                   "--checkpoints", str(tmp_path), "--set", 'stages=[{"stage":"x"}]'])
+        assert rc == 1
+        assert "setting stages.0.stage must be one of" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_pass(self, capsys):
@@ -361,6 +370,16 @@ class TestExitCodes:
          "stages.0.stage must be one of ['adaptation', 'specialization'], got 'x'"),
         ("split.ratios=oops", "split.ratios"),
         ("split.seed=oops", "split.seed"),
+        ("split.bogus=1", "unknown setting key 'split.bogus'"),
+        ("split.ratios=[0.5,0.5]", "setting split: ratios must be 3 numbers >= 0, got [0.5, 0.5]"),
+        ('stages=[{"stage":"adaptation","boost_enabled":true}]',
+         "unknown setting key 'stages.0.boost_enabled'"),
+        ("train.seed=-1", "setting train: seed must be >= 0, got -1"),
+        ("split.seed=-1", "setting split: seed must be >= 0, got -1"),
+        ("train.beta1=1.0", "setting train: beta1 must be in [0, 1), got 1.0"),
+        ("train.beta2=2.0", "setting train: beta2 must be in [0, 1), got 2.0"),
+        ("train.eps=-1", "setting train: eps must be > 0, got -1"),
+        ("train.weight_decay=-5", "setting train: weight_decay must be >= 0, got -5"),
         ("model=3", "setting model must be an object, got 3"),
         ("train=3", "setting train must be an object, got 3"),
         ("modle.hidden=8", "override 'modle.hidden': unknown settings section 'modle'"),
@@ -402,6 +421,29 @@ class TestExitCodes:
                    "--out", str(tmp_path / "vocab.json")])
         assert rc == 1
         assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_split_section_without_seed_takes_the_default(self, workdir, tmp_path):
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"), "--out-dir", str(out_dir),
+                   "--config", str(workdir / "config.json"),
+                   "--set", 'split={"ratios":[0.8,0.1,0.1]}'])
+        assert rc == 0
+        assert (out_dir / "checkpoint.bin").is_file()
+
+    @pytest.mark.parametrize("argv", [
+        ["data", "synth", "--out", "s.json"],
+        ["data", "augment", "--in", "in.json", "--out", "a.json", "--synonyms", "syn.json",
+         "--dict", "icd.json"],
+        ["gradcheck"],
+    ], ids=["synth", "augment", "gradcheck"])
+    def test_negative_seed_flag_is_one(self, tmp_path, capsys, argv):
+        # the seed is checked before any file is read or written
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert main([*argv, "--seed", "-1"]) == 1
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("raw, message", [
         ("[]", "{path}: expected a JSON object, got array"),
@@ -614,11 +656,19 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "abl").exists()
 
+    def test_synth_takes_the_most_slots_the_word_lists_allow(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["data", "synth", "--out", str(out), "--n", "2", "--slots", "25"]) == 0
+        context = json.loads(out.read_text())["data"][0]["paragraphs"][0]["context"]
+        assert context.count(" spoke of ") == 25
+
     @pytest.mark.parametrize("flags, message", [
         (["--n", "-3"], "n must be >= 0, got -3"),
         (["--context-words", "-5"], "target_context_words must be a positive number, got -5.0"),
         (["--question-words", "0"], "target_question_words must be a positive number, got 0.0"),
         (["--context-words", "nan"], "target_context_words must be a positive number, got nan"),
+        (["--slots", "26"], "n_slots (--slots) must be between 1 and 25, got 26"),
+        (["--slots", "0"], "n_slots (--slots) must be between 1 and 25, got 0"),
     ])
     def test_bad_synth_setting_is_one(self, tmp_path, capsys, flags, message):
         out = tmp_path / "s.json"

@@ -17,11 +17,13 @@ from conceptqa.training import (
     SynonymTable,
     TrainConfig,
     TrainHistory,
+    TrainingDiverged,
     augment_synonym,
     default_stages,
     init_optimizer_state,
     lr_schedule,
     optimizer_step,
+    train_epochs_simple,
     train_two_stage,
 )
 
@@ -292,6 +294,14 @@ class TestTrainTwoStage:
         with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
             StageConfig("adaptation", -3, False, ("lora",))
         assert StageConfig("adaptation", 0, False, ("lora",)).epochs == 0
+
+    def test_simple_loop_overflow_names_the_step(self, training_setup):
+        train, _, vocab = training_setup
+        cfg = TrainConfig(learning_rate=1e30, warmup_steps=2, seed=0)
+        with pytest.raises(FloatingPointError,
+                           match=r"encountered in \w+ at step \d+$") as info:
+            train_epochs_simple(self._model(vocab), train, cfg, max_steps=6)
+        assert not isinstance(info.value, TrainingDiverged)
 
     def test_history_steps_strictly_increasing(self):
         history = TrainHistory()
