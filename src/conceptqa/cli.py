@@ -4,7 +4,7 @@ Subcommands: icd build|show, data ingest|split|augment|encode|synth, vocab
 train, train, eval, ablate, predict, gradcheck.  Settings come from a JSON
 config file with flat --set overrides (flags win); each section is read by
 ``model.read_config``.  Every command writes a manifest (resolved settings,
-seed, input hashes, tool version) next to its outputs.
+seed, input hashes, tool version, environment) next to its outputs.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -69,58 +71,107 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _write_manifest(out_dir: Path, command: str, settings: dict,
-                    inputs: list[str], outputs: list[str], seed) -> None:
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "seed": seed,
-        "settings": settings,
-        "input_hashes": {p: data_mod.sha256_file(p) for p in inputs if Path(p).is_file()},
-        "outputs": outputs,
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@dataclasses.dataclass(frozen=True)
+class _Settings:
+    """The four settings sections, each read over its defaults."""
+    model: model_mod.ModelConfig
+    train: training.TrainConfig
+    stages: list[training.StageConfig]
+    split: data_mod.SplitConfig
 
 
-def _model_config(cfg: dict, vocab_size: int) -> model_mod.ModelConfig:
-    settings = cfg["model"]
-    if isinstance(settings, dict):  # the vocabulary fixes vocab_size
-        settings = {**settings, "vocab_size": vocab_size}
-    return model_mod.read_config(model_mod.ModelConfig(), settings, "setting", "model")
-
-
-def _stages(cfg: dict) -> list[training.StageConfig]:
-    """Each entry over the defaults of its ``stage``, which fixes ``boost_enabled``."""
+def _settings(args, vocab_size: int) -> _Settings:
+    """``--config`` and ``--set`` read into each section; the vocabulary fixes
+    ``model.vocab_size``, and each stage entry goes over the defaults of its
+    ``stage``, which fixes ``boost_enabled``."""
+    cfg = _load_config(args.config, args.set)
+    split = model_mod.read_config(data_mod.SplitConfig(), cfg["split"], "setting", "split")
+    model = cfg["model"]
+    if isinstance(model, dict):
+        model = {**model, "vocab_size": vocab_size}
+    model = model_mod.read_config(model_mod.ModelConfig(), model, "setting", "model")
+    train = model_mod.read_config(training.TrainConfig(), cfg["train"], "setting", "train")
     defaults = {s.stage: s for s in training.default_stages()}
     if not isinstance(cfg["stages"], list):
         raise ValueError(f"setting stages must be a list, got {cfg['stages']!r}")
-    out = []
+    stages = []
     for n, raw in enumerate(cfg["stages"]):
         if not isinstance(raw, dict):
             raise ValueError(f"setting stages.{n} must be an object, got {raw!r}")
         if raw.get("stage") not in tuple(defaults):
             raise ValueError(f"setting stages.{n}.stage must be one of {sorted(defaults)}, "
                              f"got {raw.get('stage')!r}")
-        out.append(model_mod.read_config(defaults[raw["stage"]], raw, "setting",
-                                         f"stages.{n}", fixed=("boost_enabled",)))
-    return out
+        stages.append(model_mod.read_config(defaults[raw["stage"]], raw, "setting",
+                                            f"stages.{n}", fixed=("boost_enabled",)))
+    return _Settings(model=model, train=train, stages=stages, split=split)
 
 
-def _section(cfg: dict, name: str, default):
-    """Settings section ``name`` over config dataclass instance ``default``."""
-    return model_mod.read_config(default, cfg[name], "setting", name)
+# the flags that name input files; the manifest hashes each one given
+_INPUT_FLAGS = ("input", "data", "vocab", "dict", "checkpoint", "terms", "weights",
+                "synonyms", "config")
 
 
-def _check_dictionary_version(model: model_mod.EncoderModel, dictionary) -> None:
+def _write_manifest(args, settings: dict, outputs: list[str], seed) -> None:
+    """``manifest.json`` in the command's output directory: the command, the
+    settings, the seed, the input-file hashes and the environment."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    manifest = {
+        "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
+        "tool_version": __version__,
+        "seed": seed,
+        "settings": settings,
+        "input_hashes": {path: data_mod.sha256_file(path)
+                         for path in (getattr(args, flag, None) for flag in _INPUT_FLAGS)
+                         if path and Path(path).is_file()},
+        "outputs": outputs,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
+    }
+    out_dir = Path(args.out_dir) if hasattr(args, "out_dir") else Path(args.out).parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _open_checkpoint(path, vocab, dictionary, vocab_path) -> model_mod.EncoderModel:
+    """``load_checkpoint``, then check it against the vocabulary and dictionary
+    it is run with."""
+    model = model_mod.load_checkpoint(path)
+    if len(vocab) != model.config.vocab_size:
+        raise ValueError(f"{path}: checkpoint has vocab_size {model.config.vocab_size} "
+                         f"but the vocabulary {vocab_path} has {len(vocab)} pieces")
     if model.dictionary_version and dictionary.version \
             and model.dictionary_version != dictionary.version:
         raise ValueError(
             f"checkpoint was trained with dictionary {model.dictionary_version!r} "
             f"but {dictionary.version!r} was supplied"
         )
+    return model
+
+
+def _train(config, settings: _Settings, enc_train, enc_val, vocab, dictionary, ckpt: Path):
+    """Train a model of ``config`` through both stages and save the best
+    parameters to ``ckpt``, also when a step diverges.
+
+    Returns (model, history, diverged): ``diverged`` is the TrainingDiverged
+    or None, for the caller to raise once its other outputs are written.
+    """
+    model = model_mod.build_model(config, seed=settings.train.seed,
+                                  dictionary_version=dictionary.version)
+    diverged = None
+    try:
+        model, history = training.train_two_stage(model, enc_train, enc_val, settings.train,
+                                                  settings.stages, vocab=vocab)
+    except training.TrainingDiverged as exc:
+        model, history, diverged = exc.model, exc.history, exc
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    model_mod.save_checkpoint(model, ckpt)
+    return model, history, diverged
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +190,8 @@ def cmd_icd_build(args) -> int:
     for warning in dictionary.build_warnings:
         print(f"warning: {warning}")
     print(f"wrote {len(dictionary)} entries to {args.out}")
-    _write_manifest(Path(args.out).parent, "icd build",
-                    {"corpus": args.corpus, "terms": args.terms,
-                     "weights": args.weights, "version": args.version},
-                    [args.terms] + ([args.weights] if args.weights else []),
+    _write_manifest(args, {"corpus": args.corpus, "terms": args.terms,
+                           "weights": args.weights, "version": args.version},
                     [args.out], seed=None)
     return 0
 
@@ -164,14 +213,13 @@ def cmd_data_ingest(args) -> int:
     print(f"accepted {stats['n_records']} records, rejected {stats['n_rejected']}")
     print(f"mean context {stats['mean_context_words']:.1f} words, "
           f"mean question {stats['mean_question_words']:.1f} words")
-    _write_manifest(Path(args.out).parent, "data ingest", stats,
-                    [args.input], [args.out], seed=None)
+    _write_manifest(args, stats, [args.out], seed=None)
     return 0
 
 
 def cmd_data_split(args) -> int:
-    cfg = _load_config(args.config, args.set)
-    split = _section(cfg, "split", data_mod.SplitConfig())
+    # no vocabulary here: the model section is checked at the default vocab_size
+    split = _settings(args, model_mod.ModelConfig.vocab_size).split
     dataset = data_mod.load_dataset(args.input)
     train, val, test = data_mod.split_dataset(dataset, split.ratios, split.seed)
     out_dir = Path(args.out_dir)
@@ -184,8 +232,7 @@ def cmd_data_split(args) -> int:
                                                    content_hash=dataset.content_hash), path)
         outputs.append(str(path))
         print(f"{name}: {len(records)} records -> {path}")
-    _write_manifest(out_dir, "data split", dataclasses.asdict(split),
-                    [args.input], outputs, seed=split.seed)
+    _write_manifest(args, dataclasses.asdict(split), outputs, seed=split.seed)
     return 0
 
 
@@ -208,9 +255,7 @@ def cmd_data_augment(args) -> int:
                                content_hash=dataset.content_hash)
     data_mod.save_dataset(out, args.out)
     print(f"augmented {len(augmented)} records (total {len(out)}) -> {args.out}")
-    _write_manifest(Path(args.out).parent, "data augment",
-                    {"rate": args.rate}, [args.input, args.synonyms, args.dict],
-                    [args.out], seed=args.seed)
+    _write_manifest(args, {"rate": args.rate}, [args.out], seed=args.seed)
     return 0
 
 
@@ -223,9 +268,7 @@ def cmd_data_encode(args) -> int:
     data_mod.dump_encoded_jsonl(encoded, args.out)
     print(f"encoded {stats['n_examples']} examples "
           f"({stats['n_absent_spans']} gold spans truncated away) -> {args.out}")
-    _write_manifest(Path(args.out).parent, "data encode",
-                    {"max_len": args.max_len, **stats},
-                    [args.input, args.vocab, args.dict], [args.out], seed=None)
+    _write_manifest(args, {"max_len": args.max_len, **stats}, [args.out], seed=None)
     return 0
 
 
@@ -241,11 +284,10 @@ def cmd_data_synth(args) -> int:
     print(f"wrote {len(fixture)} synthetic QA pairs -> {args.out}")
     print(f"mean context {stats['mean_context_words']:.1f} words, "
           f"mean question {stats['mean_question_words']:.1f} words")
-    _write_manifest(Path(args.out).parent, "data synth",
-                    {"n": args.n, "slots": args.slots, "style": args.style,
-                     "context_words": args.context_words,
-                     "question_words": args.question_words},
-                    [], [args.out], seed=args.seed)
+    _write_manifest(args, {"n": args.n, "slots": args.slots, "style": args.style,
+                           "context_words": args.context_words,
+                           "question_words": args.question_words},
+                    [args.out], seed=args.seed)
     return 0
 
 
@@ -255,45 +297,31 @@ def cmd_vocab_train(args) -> int:
     vocab = train_vocab(texts, args.size)
     save_vocab(vocab, args.out)
     print(f"trained vocabulary of {len(vocab)} pieces -> {args.out}")
-    _write_manifest(Path(args.out).parent, "vocab train", {"size": args.size},
-                    [args.data], [args.out], seed=None)
+    _write_manifest(args, {"size": args.size}, [args.out], seed=None)
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, args.set)
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
     dataset = data_mod.load_dataset(args.data)
-    split = _section(cfg, "split", data_mod.SplitConfig())
-    mcfg = _model_config(cfg, vocab_size=len(vocab))
-    tcfg = _section(cfg, "train", training.TrainConfig())
-    stages = _stages(cfg)
+    settings = _settings(args, len(vocab))
+    split = settings.split
     enc_train, enc_val = (
-        data_mod.encode_dataset(recs, vocab, dictionary, mcfg.max_len)[0]
+        data_mod.encode_dataset(recs, vocab, dictionary, settings.model.max_len)[0]
         for recs in data_mod.split_dataset(dataset, split.ratios, split.seed)[:2])
 
-    model = model_mod.build_model(mcfg, seed=tcfg.seed,
-                                  dictionary_version=dictionary.version)
-    diverged = None
-    try:
-        model, history = training.train_two_stage(model, enc_train, enc_val, tcfg,
-                                                  stages, vocab=vocab)
-    except training.TrainingDiverged as exc:
-        model, history, diverged = exc.model, exc.history, exc
-
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.bin"
-    model_mod.save_checkpoint(model, ckpt)
+    _, history, diverged = _train(settings.model, settings, enc_train, enc_val, vocab,
+                                  dictionary, ckpt)
     history.to_csv(out_dir / "history.csv")
     best = (f"best val EM {history.best_em:.2f}% at step {history.best_step}"
             if history.records else "no validation ran")
     print(f"{best}; {history.skipped_truncated} truncated example(s) skipped")
     print(f"checkpoint -> {ckpt}")
-    _write_manifest(out_dir, "train", cfg,
-                    [args.data, args.vocab, args.dict],
-                    [str(ckpt), str(out_dir / "history.csv")], seed=tcfg.seed)
+    _write_manifest(args, dataclasses.asdict(settings),
+                    [str(ckpt), str(out_dir / "history.csv")], seed=settings.train.seed)
     if diverged is not None:
         raise diverged
     return 0
@@ -302,8 +330,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
-    model = model_mod.load_checkpoint(args.checkpoint)
-    _check_dictionary_version(model, dictionary)
+    model = _open_checkpoint(args.checkpoint, vocab, dictionary, args.vocab)
     dataset = data_mod.load_dataset(args.data)
     encoded, _ = data_mod.encode_dataset(dataset.records, vocab, dictionary,
                                          model.config.max_len)
@@ -318,8 +345,7 @@ def cmd_eval(args) -> int:
         json.dump(report.predictions, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(table)
-    _write_manifest(out_dir, "eval", {"ablation": args.ablation},
-                    [args.data, args.vocab, args.dict, args.checkpoint],
+    _write_manifest(args, {"ablation": args.ablation},
                     [str(out_dir / p) for p in ("report.json", "report.txt",
                                                 "predictions.json")],
                     seed=model.seed)
@@ -329,16 +355,13 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     if args.train_first == (args.checkpoints is not None):
         raise ValueError("ablate needs exactly one of --train-first and --checkpoints")
-    cfg = _load_config(args.config, args.set)
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
     dataset = data_mod.load_dataset(args.data)
-    split = _section(cfg, "split", data_mod.SplitConfig())
-    mcfg = _model_config(cfg, vocab_size=len(vocab))
-    tcfg = _section(cfg, "train", training.TrainConfig())
-    stages = _stages(cfg)
+    settings = _settings(args, len(vocab))
+    split = settings.split
     enc_train, enc_val, enc_test = (
-        data_mod.encode_dataset(recs, vocab, dictionary, mcfg.max_len)[0]
+        data_mod.encode_dataset(recs, vocab, dictionary, settings.model.max_len)[0]
         for recs in data_mod.split_dataset(dataset, split.ratios, split.seed))
 
     out_dir = Path(args.out_dir)
@@ -346,18 +369,16 @@ def cmd_ablate(args) -> int:
     reports = []
     for variant in evaluation.ABLATION_VARIANTS:
         if args.train_first:
-            vcfg = evaluation.apply_ablation(mcfg, variant)
-            model = model_mod.build_model(vcfg, seed=tcfg.seed,
-                                          dictionary_version=dictionary.version)
-            model, _ = training.train_two_stage(model, enc_train, enc_val, tcfg, stages,
-                                                vocab=vocab)
-            model_mod.save_checkpoint(model, out_dir / f"checkpoint-{variant}.bin")
+            model, _, diverged = _train(evaluation.apply_ablation(settings.model, variant),
+                                        settings, enc_train, enc_val, vocab, dictionary,
+                                        out_dir / f"checkpoint-{variant}.bin")
+            if diverged is not None:
+                raise diverged
         else:
             path = Path(args.checkpoints) / f"checkpoint-{variant}.bin"
             if not path.is_file():
                 raise ValueError(f"missing checkpoint for variant {variant}: {path}")
-            model = model_mod.load_checkpoint(path)
-            _check_dictionary_version(model, dictionary)
+            model = _open_checkpoint(path, vocab, dictionary, args.vocab)
         report = evaluation.evaluate(model, enc_test, ablation=variant, vocab=vocab,
                                      dictionary=dictionary)
         reports.append(report)
@@ -368,17 +389,16 @@ def cmd_ablate(args) -> int:
     with open(out_dir / "ablation.json", "w", encoding="utf-8") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(out_dir, "ablate", cfg, [args.data, args.vocab, args.dict],
+    _write_manifest(args, dataclasses.asdict(settings),
                     [str(out_dir / "ablation.txt"), str(out_dir / "ablation.json")],
-                    seed=tcfg.seed)
+                    seed=settings.train.seed)
     return 0
 
 
 def cmd_predict(args) -> int:
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
-    model = model_mod.load_checkpoint(args.checkpoint)
-    _check_dictionary_version(model, dictionary)
+    model = _open_checkpoint(args.checkpoint, vocab, dictionary, args.vocab)
     dataset = data_mod.load_dataset(args.data)
     encoded, _ = data_mod.encode_dataset(dataset.records, vocab, dictionary,
                                          model.config.max_len)
@@ -387,9 +407,7 @@ def cmd_predict(args) -> int:
         json.dump(preds, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(preds)} predictions -> {args.out}")
-    _write_manifest(Path(args.out).parent, "predict", {"ablation": args.ablation},
-                    [args.data, args.vocab, args.dict, args.checkpoint],
-                    [args.out], seed=model.seed)
+    _write_manifest(args, {"ablation": args.ablation}, [args.out], seed=model.seed)
     return 0
 
 
@@ -420,6 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags shared by the model commands
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--data", required=True, help="ingested dataset JSON")
+    inputs.add_argument("--vocab", required=True)
+    inputs.add_argument("--dict", required=True)
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", default=None)
+    settings.add_argument("--set", action="append", default=[])
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--checkpoint", required=True)
+    scoring.add_argument("--ablation", choices=evaluation.ABLATION_VARIANTS, default="full")
+
     icd = sub.add_parser("icd", help="concept dictionary tools").add_subparsers(
         dest="subcommand", required=True)
     p = icd.add_parser("build", help="build a dictionary from a corpus directory")
@@ -439,11 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_data_ingest)
-    p = data.add_parser("split", help="deterministic train/val/test split")
+    p = data.add_parser("split", help="deterministic train/val/test split",
+                        parents=[settings])
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", default=[])
     p.set_defaults(func=cmd_data_split)
     p = data.add_parser("augment", help="concept-preserving synonym augmentation")
     p.add_argument("--in", dest="input", required=True)
@@ -478,43 +507,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_vocab_train)
 
-    p = sub.add_parser("train", help="two-stage fine-tuning run")
-    p.add_argument("--data", required=True, help="ingested dataset JSON")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--dict", required=True)
+    p = sub.add_parser("train", help="two-stage fine-tuning run", parents=[inputs, settings])
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", default=[])
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="metric report for a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--dict", required=True)
+    p = sub.add_parser("eval", help="metric report for a checkpoint", parents=[scoring, inputs])
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--ablation", choices=evaluation.ABLATION_VARIANTS, default="full")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="evaluate the four ablation variants")
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--dict", required=True)
+    p = sub.add_parser("ablate", help="evaluate the four ablation variants",
+                       parents=[inputs, settings])
     p.add_argument("--out-dir", required=True)
     p.add_argument("--train-first", action="store_true")
     p.add_argument("--checkpoints", default=None,
                    help="directory of checkpoint-<variant>.bin files")
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", default=[])
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("predict", help="dump span predictions as JSON")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--dict", required=True)
+    p = sub.add_parser("predict", help="dump span predictions as JSON", parents=[scoring, inputs])
     p.add_argument("--out", required=True)
-    p.add_argument("--ablation", choices=evaluation.ABLATION_VARIANTS, default="full")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the gate gradients")

@@ -142,7 +142,7 @@ def build_dictionary(
 
     Occurrence counts feed the importance score; document fraction is stored
     separately as corpus_frequency.  Terms absent from the whole corpus get a
-    neutral entry (IS 0, BF 1.0) and a warning.
+    neutral entry (IS 0, BF 1.0) and a warning in ``build_warnings``.
     """
     if not term_list:
         raise ValueError("term_list is empty")
@@ -190,8 +190,6 @@ def build_dictionary(
             category="",
             corpus_frequency=doc_hits[key] / len(corpus),
         )
-    for msg in warnings:
-        log.warning(msg)
     return ConceptDictionary(entries=entries, version=version, build_warnings=warnings)
 
 

@@ -158,7 +158,8 @@ def evaluate(
     model: EncoderModel,
     dataset: list[EncodedExample],
     ablation: str = FULL,
-    vocab: Vocab | None = None,
+    *,
+    vocab: Vocab,
     embedder: metrics.Embedder | None = None,
     dictionary: ConceptDictionary | None = None,
 ) -> MetricReport:
@@ -172,8 +173,6 @@ def evaluate(
     """
     if not dataset:
         raise ValueError("empty dataset")
-    if vocab is None:
-        raise ValueError("a vocabulary is required to decode predictions")
     t0 = time.perf_counter()
     preds = predict_all(model, dataset, vocab, ablation)
     latency_ms = (time.perf_counter() - t0) * 1e3 / len(dataset)

@@ -313,7 +313,8 @@ def train_two_stage(
     val_set: list,
     cfg: TrainConfig,
     stages: list[StageConfig] | None = None,
-    vocab: Vocab | None = None,
+    *,
+    vocab: Vocab,
 ) -> tuple[EncoderModel, TrainHistory]:
     """Run the two-stage loop with per-epoch validation and early stopping.
 
@@ -324,8 +325,6 @@ def train_two_stage(
     non-finite gradient or an overflow in a step raises TrainingDiverged
     carrying the best checkpoint.
     """
-    if vocab is None:
-        raise ValueError("a vocabulary is required for validation decoding")
     if not train_set or not val_set:
         raise ValueError("empty split")
     stages = stages if stages is not None else default_stages()

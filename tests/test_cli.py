@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import os
+import platform
 import re
 import warnings
 
@@ -64,6 +67,30 @@ class TestIcdCommands:
         manifest = json.loads((workdir / "manifest.json").read_text())
         assert manifest["tool_version"]
         assert manifest["command"]
+
+    def test_build_prints_each_missing_term_warning_once(self, workdir, tmp_path, capsys,
+                                                          caplog):
+        terms = tmp_path / "terms.txt"
+        terms.write_text("\n".join([*synthetic.CONCEPT_AGENTS, "zebra"]), encoding="utf-8")
+        assert main(["icd", "build", "--corpus", str(workdir / "corpus"),
+                     "--terms", str(terms), "--out", str(tmp_path / "icd.json")]) == 0
+        captured = capsys.readouterr()
+        emitted = "\n".join([captured.out, captured.err,
+                             *(r.getMessage() for r in caplog.records)])
+        warned = [line.removeprefix("warning: ") for line in captured.out.splitlines()
+                  if line.startswith("warning: ")]
+        assert "term 'zebra' never observed in the corpus; boost set to 1.0" in warned
+        assert [emitted.count(w) for w in warned] == [1] * len(warned)
+
+    @pytest.mark.parametrize("threads", [None, "3"])
+    def test_manifest_records_the_thread_count(self, tmp_path, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert main(["data", "synth", "--out", str(tmp_path / "s.json"), "--n", "2"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == threads
 
     def test_missing_corpus_is_validation_failure(self, tmp_path):
         empty = tmp_path / "nothing"
@@ -143,6 +170,45 @@ class TestTrainEvalPredict:
         assert manifest["command"] == "train"
         assert manifest["input_hashes"]
 
+    def test_train_manifest_records_the_environment(self, trained):
+        manifest = json.loads((trained / "manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        }
+        assert manifest["environment"]["blas"]["name"]
+
+    def test_manifest_records_the_resolved_settings(self, workdir, tmp_path):
+        from conceptqa.data import SplitConfig
+        from conceptqa.model import ModelConfig
+        from conceptqa.training import TrainConfig, default_stages
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(out_dir), "--config", str(workdir / "config.json"),
+                   "--set", 'model={"layers":1,"hidden":8,"heads":2,"lora_rank":2}',
+                   "--set", 'split={"ratios":[0.6,0.2,0.2]}'])
+        assert rc == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        n_vocab = len(json.loads((workdir / "vocab.json").read_text())["pieces"])
+        adaptation, specialization = default_stages()
+        expected = {
+            "model": dataclasses.asdict(ModelConfig(layers=1, hidden=8, heads=2, lora_rank=2,
+                                                    vocab_size=n_vocab)),
+            "train": dataclasses.asdict(TrainConfig(**TRAIN_CONFIG["train"])),
+            "stages": [dataclasses.asdict(dataclasses.replace(adaptation, epochs=1)),
+                       dataclasses.asdict(dataclasses.replace(specialization, epochs=2))],
+            "split": dataclasses.asdict(SplitConfig(ratios=(0.6, 0.2, 0.2))),
+        }
+        assert manifest["settings"] == json.loads(json.dumps(expected))
+        assert set(manifest["input_hashes"]) == {str(workdir / name) for name in
+                                                 ("flat.json", "vocab.json", "icd.json",
+                                                  "config.json")}
+
     def test_rerun_reproduces_bit_for_bit(self, workdir, trained):
         out_dir = workdir / "run2"
         rc = main(["train", "--data", str(workdir / "flat.json"),
@@ -201,6 +267,25 @@ class TestTrainEvalPredict:
                    "--out", str(out)])
         assert rc == 0
         assert len(json.loads(out.read_text())) == 40
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("change", [-10, 10], ids=["smaller", "larger"])
+    def test_vocabulary_of_another_size_is_one(self, workdir, trained, tmp_path, capsys,
+                                               command, change):
+        pieces = json.loads((workdir / "vocab.json").read_text())["pieces"]
+        pieces = pieces[:change] if change < 0 else pieces + [f"zz{i}" for i in range(change)]
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"pieces": pieces}), encoding="utf-8")
+        out = ["--out-dir", str(tmp_path / "ev")] if command == "eval" else \
+            ["--out", str(tmp_path / "preds.json")]
+        ckpt = trained / "checkpoint.bin"
+        rc = main([command, "--checkpoint", str(ckpt), "--data", str(workdir / "flat.json"),
+                   "--vocab", str(vocab), "--dict", str(workdir / "icd.json"), *out])
+        assert rc == 1
+        n = len(pieces) - change
+        assert (f"error: {ckpt}: checkpoint has vocab_size {n} but the vocabulary {vocab} "
+                f"has {len(pieces)} pieces") in capsys.readouterr().err
+        assert not (tmp_path / "preds.json").exists()
 
     @pytest.mark.parametrize("cut", ["magic", "preamble", "header", "body", "last_byte"])
     def test_predict_rejects_truncated_checkpoint(self, workdir, trained, tmp_path,
@@ -316,6 +401,24 @@ class TestTrainEvalPredict:
             assert (out_dir / f"checkpoint-{variant}.bin").is_file()
         reports = json.loads((out_dir / "ablation.json").read_text())
         assert len(reports) == 4
+
+    def test_ablate_train_first_keeps_a_diverged_checkpoint(self, workdir, tmp_path, capsys):
+        from conceptqa import model as model_mod
+        out_dir = tmp_path / "abl"
+        rc = main(["ablate", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(out_dir), "--train-first",
+                   "--config", str(workdir / "config.json"),
+                   "--set", "train.learning_rate=1e30", "--set", "train.warmup_steps=2"])
+        assert rc == 2
+        assert "kept the parameters of step 0" in capsys.readouterr().err
+        assert [p.name for p in out_dir.iterdir()] == ["checkpoint-full.bin"]
+        saved = model_mod.load_checkpoint(out_dir / "checkpoint-full.bin")
+        initial = model_mod.build_model(saved.config, seed=TRAIN_CONFIG["train"]["seed"])
+        assert saved.params.keys() == initial.params.keys()
+        for name, value in initial.params.items():
+            np.testing.assert_array_equal(saved.params[name], value)
 
     def test_ablate_missing_checkpoint_fails(self, workdir, tmp_path):
         rc = main(["ablate", "--data", str(workdir / "flat.json"),
