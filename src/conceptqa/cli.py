@@ -111,9 +111,10 @@ _INPUT_FLAGS = ("input", "data", "vocab", "dict", "checkpoint", "terms", "weight
                 "synonyms", "config")
 
 
-def _write_manifest(args, settings: dict, outputs: list[str], seed) -> None:
+def _write_manifest(args, settings: dict, outputs: list[str], seed, inputs=()) -> None:
     """``manifest.json`` in the command's output directory: the command, the
-    settings, the seed, the input-file hashes and the environment."""
+    settings, the seed, the hashes of the input files (those the flags name,
+    and ``inputs``) and the environment."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
@@ -121,7 +122,8 @@ def _write_manifest(args, settings: dict, outputs: list[str], seed) -> None:
         "seed": seed,
         "settings": settings,
         "input_hashes": {path: data_mod.sha256_file(path)
-                         for path in (getattr(args, flag, None) for flag in _INPUT_FLAGS)
+                         for path in [*(getattr(args, flag, None) for flag in _INPUT_FLAGS),
+                                      *inputs]
                          if path and Path(path).is_file()},
         "outputs": outputs,
         "environment": {
@@ -366,7 +368,7 @@ def cmd_ablate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
+    reports, configs, loaded = [], {}, []
     for variant in evaluation.ABLATION_VARIANTS:
         if args.train_first:
             model, _, diverged = _train(evaluation.apply_ablation(settings.model, variant),
@@ -379,6 +381,8 @@ def cmd_ablate(args) -> int:
             if not path.is_file():
                 raise ValueError(f"missing checkpoint for variant {variant}: {path}")
             model = _open_checkpoint(path, vocab, dictionary, args.vocab)
+            loaded.append(str(path))
+        configs[variant] = dataclasses.asdict(model.config)
         report = evaluation.evaluate(model, enc_test, ablation=variant, vocab=vocab,
                                      dictionary=dictionary)
         reports.append(report)
@@ -389,9 +393,10 @@ def cmd_ablate(args) -> int:
     with open(out_dir / "ablation.json", "w", encoding="utf-8") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args, dataclasses.asdict(settings),
+    # each variant's model as it ran: its checkpoint's, or the ablated model section
+    _write_manifest(args, {**dataclasses.asdict(settings), "model": configs},
                     [str(out_dir / "ablation.txt"), str(out_dir / "ablation.json")],
-                    seed=settings.train.seed)
+                    seed=settings.train.seed, inputs=loaded)
     return 0
 
 

@@ -127,10 +127,13 @@ def latency_ratio(
     variant_b: str = NO_GATING,
     repeats: int = 5,
 ) -> float:
-    """Median-latency ratio variant_a / variant_b over the dataset.
+    """Latency ratio variant_a / variant_b: the median over the dataset of
+    each example's fastest repeat.
 
     The two variants run interleaved per example (after a warmup pass) so
-    CPU frequency drift cannot bias the comparison.
+    CPU frequency drift cannot bias the comparison.  Interference from other
+    work on the host only adds time, so the minimum of the repeats is the
+    example's time.
     """
     ma = ablated_model(model, variant_a)
     mb = ablated_model(model, variant_b)
@@ -149,8 +152,8 @@ def latency_ratio(
             t0 = time.perf_counter()
             encoder_forward(mb, ids, boost)
             tb.append(time.perf_counter() - t0)
-        times_a.append(float(np.median(ta)))
-        times_b.append(float(np.median(tb)))
+        times_a.append(min(ta))
+        times_b.append(min(tb))
     return float(np.median(times_a) / np.median(times_b))
 
 

@@ -9,7 +9,7 @@ hand-written backward so gradients are exact and checkable against finite
 differences.
 
 Attention scores decompose additively into content-content, content-position
-and position-position interactions over a clipped relative-position table,
+and position-content interactions over a clipped relative-position table,
 scaled by 1/sqrt(3 * head_dim).  A concept-gated residual block sits between
 each attention sub-layer and its FFN.
 """
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from . import gating
@@ -32,7 +33,7 @@ from .tokenizer import SEG_CONTEXT, TokenizedExample
 LN_EPS = 1e-5
 INIT_SCALE = 0.02
 
-GATE_SHARED, GATE_PER_LAYER, GATE_OFF = "shared", "per_layer", "off"
+GATE_SHARED, GATE_OFF = "shared", "off"
 BOOST_RESIDUAL, BOOST_ATTENTION, BOOST_OFF = "residual_gate", "attention_score", "off"
 
 GROUP_LORA = "lora"
@@ -70,7 +71,7 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.gate_mode not in (GATE_SHARED, GATE_PER_LAYER, GATE_OFF):
+        if self.gate_mode not in (GATE_SHARED, GATE_OFF):
             raise ValueError(f"unknown gate_mode {self.gate_mode!r}")
         if self.boost_mode not in (BOOST_RESIDUAL, BOOST_ATTENTION, BOOST_OFF):
             raise ValueError(f"unknown boost_mode {self.boost_mode!r}")
@@ -121,10 +122,6 @@ class EncoderModel:
     seed: int = 0
     dictionary_version: str = ""
 
-    def gate_params(self, layer: int) -> GateParams:
-        key = "gate" if self.config.gate_mode == GATE_SHARED else f"layer{layer}.gate"
-        return GateParams(self.params[f"{key}.w"], self.params[f"{key}.b"])
-
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Deterministically ordered name -> shape map for every model tensor."""
@@ -153,9 +150,6 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[pre + "ffn.b2"] = (d,)
         shapes[pre + "ln2.gamma"] = (d,)
         shapes[pre + "ln2.beta"] = (d,)
-        if config.gate_mode == GATE_PER_LAYER:
-            shapes[pre + "gate.w"] = (d, d)
-            shapes[pre + "gate.b"] = (d,)
     if config.gate_mode == GATE_SHARED:
         shapes["gate.w"] = (d, d)
         shapes["gate.b"] = (d,)
@@ -169,7 +163,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def param_group(name: str) -> str:
     if ".lora_a" in name or ".lora_b" in name:
         return GROUP_LORA
-    if name.startswith("gate.") or ".gate." in name:
+    if name.startswith("gate."):
         return GROUP_GATES
     if name.startswith("heads."):
         return GROUP_HEADS
@@ -228,12 +222,10 @@ def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32,
 # primitive ops (forward + backward pairs)
 # ---------------------------------------------------------------------------
 
-def _lin_fwd(x, w, b, a, bb, scale):
+def _lin_fwd(x, w, a, bb, scale):
+    """x @ (W + scale·A@B) without forming the sum; the caller adds the bias."""
     xa = x @ a
-    y = x @ w + scale * (xa @ bb)
-    if b is not None:
-        y = y + b
-    return y, (x, xa)
+    return x @ w + scale * (xa @ bb), (x, xa)
 
 
 def _lin_bwd(dy, w, a, bb, scale, cache):
@@ -328,13 +320,15 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
     wv, bv, av, bbv = _attn_params(params, layer, "v")
     wo, bo, ao, bbo = _attn_params(params, layer, "o")
 
-    q, cq = _lin_fwd(h, wq, bq, aq, bbq, scale)
-    k, ck = _lin_fwd(h, wk, bk, ak, bbk, scale)
-    v, cv = _lin_fwd(h, wv, bv, av, bbv, scale)
-    # relative-position embeddings share the content projections, no bias so
-    # that a zeroed table contributes exactly nothing
-    qr, cqr = _lin_fwd(rel, wq, None, aq, bbq, scale)
-    kr, ckr = _lin_fwd(rel, wk, None, ak, bbk, scale)
+    # the content rows and the relative-position rows share one projection;
+    # only the content rows take the bias, so a zeroed table contributes nothing
+    rows = np.concatenate([h, rel])
+    q, cq = _lin_fwd(rows, wq, aq, bbq, scale)
+    k, ck = _lin_fwd(rows, wk, ak, bbk, scale)
+    v, cv = _lin_fwd(h, wv, av, bbv, scale)
+    q, qr = q[:seq_len] + bq, q[seq_len:]
+    k, kr = k[:seq_len] + bk, k[seq_len:]
+    v += bv
 
     qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
     qrh, krh = _split_heads(qr, nh), _split_heads(kr, nh)
@@ -354,12 +348,13 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
     prob = np.exp(s, out=s)
     prob /= prob.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(prob @ vh)
-    out, co = _lin_fwd(ctx, wo, bo, ao, bbo, scale)
+    out, co = _lin_fwd(ctx, wo, ao, bbo, scale)
+    out += bo
 
     cache = dict(
         layer=layer, seq_len=seq_len, score_boost=score_boost, runs=runs,
         qh=qh, kh=kh, vh=vh, qrh=qrh, krh=krh, prob=prob,
-        cq=cq, ck=ck, cv=cv, cqr=cqr, ckr=ckr, co=co,
+        cq=cq, ck=ck, cv=cv, co=co,
     )
     return out, cache
 
@@ -410,26 +405,23 @@ def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
     dqrh = da_p2c @ kh
     dkh += da_p2c.transpose(0, 2, 1) @ qrh
 
-    dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-    dqr, dkr = _merge_heads(dqrh), _merge_heads(dkrh)
-
-    dh_q, daq, dbbq_g = _lin_bwd(dq, wq, aq, bbq, scale, cache["cq"])
-    dh_k, dak, dbbk_g = _lin_bwd(dk, wk, ak, bbk, scale, cache["ck"])
-    dh_v, dav, dbbv_g = _lin_bwd(dv, wv, av, bbv, scale, cache["cv"])
-    # the relative table is frozen, but its projections still feed LoRA grads
-    _, daq_r, dbbq_r = _lin_bwd(dqr, wq, aq, bbq, scale, cache["cqr"])
-    _, dak_r, dbbk_r = _lin_bwd(dkr, wk, ak, bbk, scale, cache["ckr"])
+    # the relative table is frozen: its rows feed only the LoRA gradients
+    dq = _merge_heads(np.concatenate([dqh, dqrh], axis=1))
+    dk = _merge_heads(np.concatenate([dkh, dkrh], axis=1))
+    dh_q, daq, dbbq = _lin_bwd(dq, wq, aq, bbq, scale, cache["cq"])
+    dh_k, dak, dbbk = _lin_bwd(dk, wk, ak, bbk, scale, cache["ck"])
+    dh_v, dav, dbbv = _lin_bwd(_merge_heads(dvh), wv, av, bbv, scale, cache["cv"])
 
     pre = f"layer{layer}.attn."
-    _acc(grads, pre + "q.lora_a", daq + daq_r)
-    _acc(grads, pre + "q.lora_b", dbbq_g + dbbq_r)
-    _acc(grads, pre + "k.lora_a", dak + dak_r)
-    _acc(grads, pre + "k.lora_b", dbbk_g + dbbk_r)
+    _acc(grads, pre + "q.lora_a", daq)
+    _acc(grads, pre + "q.lora_b", dbbq)
+    _acc(grads, pre + "k.lora_a", dak)
+    _acc(grads, pre + "k.lora_b", dbbk)
     _acc(grads, pre + "v.lora_a", dav)
-    _acc(grads, pre + "v.lora_b", dbbv_g)
+    _acc(grads, pre + "v.lora_b", dbbv)
     _acc(grads, pre + "o.lora_a", dao)
     _acc(grads, pre + "o.lora_b", dbbo)
-    return dh_q + dh_k + dh_v
+    return dh_q[:seq_len] + dh_k[:seq_len] + dh_v
 
 
 def _acc(grads: dict, name: str, value: np.ndarray) -> None:
@@ -460,12 +452,6 @@ def embed(model: EncoderModel, token_ids: np.ndarray, dict_flags: np.ndarray) ->
     return h + flags[:, None] * domain[None, :]
 
 
-def _gate_for_layer(model: EncoderModel, layer: int) -> GateParams | None:
-    if model.config.gate_mode == GATE_OFF:
-        return None
-    return model.gate_params(layer)
-
-
 def encoder_forward(
     model: EncoderModel,
     token_ids: np.ndarray,
@@ -490,18 +476,17 @@ def encoder_forward(
 
     flags = boost > 1.0
     h = embed(model, token_ids, flags)
-    caches = {"flags": flags, "layers": []}
+    # one concept gate, shared by every layer
+    gate = None if cfg.gate_mode == GATE_OFF else GateParams(params["gate.w"], params["gate.b"])
+    caches = {"flags": flags, "gate": gate, "layers": []}
 
     for layer in range(cfg.layers):
         attn_out, attn_cache = _attention_fwd(h, params, layer, cfg, score_boost)
         h1, ln1_cache = _layernorm_fwd(
             h + attn_out, params[f"layer{layer}.ln1.gamma"], params[f"layer{layer}.ln1.beta"]
         )
-        gate_params = _gate_for_layer(model, layer)
-        if gate_params is not None:
-            gated, gate_cache = gating.gate_forward(
-                h1, gate_boost, gate_params, skip=cfg.residual_skip
-            )
+        if gate is not None:
+            gated, gate_cache = gating.gate_forward(h1, gate_boost, gate, skip=cfg.residual_skip)
         else:
             gated, gate_cache = h1, None
         u = gated @ params[f"layer{layer}.ffn.w1"] + params[f"layer{layer}.ffn.b1"]
@@ -524,6 +509,7 @@ def encoder_backward(model: EncoderModel, dh: np.ndarray, caches: dict) -> dict[
     cfg = model.config
     params = model.params
     grads: dict[str, np.ndarray] = {}
+    gate = caches["gate"]
 
     for layer in reversed(range(cfg.layers)):
         c = caches["layers"][layer]
@@ -532,26 +518,19 @@ def encoder_backward(model: EncoderModel, dh: np.ndarray, caches: dict) -> dict[
         dact = dsum2 @ params[f"layer{layer}.ffn.w2"].T
         du = _gelu_bwd(dact, c["gelu"])
         dgated += du @ params[f"layer{layer}.ffn.w1"].T
-        if c["gate"] is not None:
-            gate_params = model.gate_params(layer)
-            ggrads = gating.gate_backward(dgated, c["gate"], gate_params)
-            key = "gate" if cfg.gate_mode == GATE_SHARED else f"layer{layer}.gate"
-            _acc(grads, f"{key}.w", ggrads.dw)
-            _acc(grads, f"{key}.b", ggrads.db)
+        if gate is not None:
+            ggrads = gating.gate_backward(dgated, c["gate"], gate)
+            _acc(grads, "gate.w", ggrads.dw)
+            _acc(grads, "gate.b", ggrads.db)
             dh1 = ggrads.dx
         else:
             dh1 = dgated
         dsum1 = _layernorm_bwd(dh1, c["ln1"])
         dh = dsum1 + _attention_bwd(dsum1, c["attn"], params, cfg, grads)
 
-    flags = caches["flags"]
-    if flags.any():
-        dv = dh[flags].sum(axis=0)
-        grads["embed.domain_projection"] = np.outer(dv, params["embed.domain_vector"])
-        grads["embed.domain_vector"] = params["embed.domain_projection"].T @ dv
-    else:
-        grads["embed.domain_projection"] = np.zeros_like(params["embed.domain_projection"])
-        grads["embed.domain_vector"] = np.zeros_like(params["embed.domain_vector"])
+    dv = dh[caches["flags"]].sum(axis=0)
+    grads["embed.domain_projection"] = np.outer(dv, params["embed.domain_vector"])
+    grads["embed.domain_vector"] = params["embed.domain_projection"].T @ dv
     return grads
 
 
@@ -640,25 +619,22 @@ def predict_span(
 
     Maximizes start_logits[s] + end_logits[e] over pairs with s <= e and
     e - s < max_answer_len; ties resolve to the smallest s, then smallest e
-    (row-major argmax order).
+    (row-major argmax order).  Only the answer band is scored: row s, column k
+    of the (L, max_answer_len) score array is the span (s, s + k).
     """
     n = len(start_logits)
     if len(end_logits) != n or len(example) != n:
         raise ValueError("logit length does not match the example")
     in_context = example.segment_flags == SEG_CONTEXT
-    scores = start_logits[:, None] + end_logits[None, :]
-    s_idx = np.arange(n)[:, None]
-    e_idx = np.arange(n)[None, :]
-    valid = (
-        in_context[:, None] & in_context[None, :]
-        & (s_idx <= e_idx) & (e_idx - s_idx < max_answer_len)
-    )
+    tail = np.zeros(max_answer_len - 1, dtype=end_logits.dtype)  # np.pad: 10x slower
+    ends = sliding_window_view(np.concatenate([end_logits, tail]), max_answer_len)
+    context_padded = np.concatenate([in_context, tail.astype(bool)])
+    valid = in_context[:, None] & sliding_window_view(context_padded, max_answer_len)
     if not valid.any():
         raise ValueError("no candidate span")
-    masked = np.where(valid, scores, -np.inf)
-    flat = int(np.argmax(masked))
-    s, e = divmod(flat, n)
-    return SpanPrediction(start=s, end=e, score=float(masked[s, e]))
+    masked = np.where(valid, start_logits[:, None] + ends, -np.inf)
+    s, k = divmod(int(np.argmax(masked)), max_answer_len)
+    return SpanPrediction(start=s, end=s + k, score=float(masked[s, k]))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +667,7 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
 
     A truncated, malformed or inconsistent file raises ValueError naming the file
     and the header key at fault.  The header holds exactly the config, seed and
-    dictionary version, and the body exactly the config's tensors.
+    dictionary version, and the body exactly the config's tensors, all finite.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 16:
@@ -732,6 +708,9 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
                          f"tensors take {4 * sum(sizes)}")
     parts = np.split(np.frombuffer(body, dtype="<f4"), np.cumsum(sizes)[:-1])
     params = {name: part.reshape(shape).copy() for (name, shape), part in zip(shapes, parts)}
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
     return EncoderModel(config=config, params=params, seed=header["seed"],
                         dictionary_version=header["dictionary_version"])
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -363,6 +364,73 @@ class TestTrainEvalPredict:
         assert rc == 1
         assert f"{bad}: header must be an object, got list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["heads.start.weight", "layer0.ffn.w1",
+                                      "embed.token_table"])
+    def test_predict_rejects_a_non_finite_tensor(self, workdir, trained, tmp_path, capsys,
+                                                 name):
+        from conceptqa import model as model_mod
+        model = model_mod.load_checkpoint(trained / "checkpoint.bin")
+        model.params[name][...] = np.nan
+        bad = tmp_path / "nan.bin"
+        model_mod.save_checkpoint(model, bad)
+        rc = main(["predict", "--checkpoint", str(bad),
+                   "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out", str(tmp_path / "preds.json")])
+        assert rc == 1
+        assert f"error: {bad}: tensor '{name}' holds a non-finite value" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "preds.json").exists()
+
+    def test_predict_rejects_a_per_layer_gate_checkpoint(self, workdir, trained, tmp_path,
+                                                         capsys):
+        raw = (trained / "checkpoint.bin").read_bytes()
+        hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+        header = json.loads(raw[16:16 + hlen])
+        header["config"]["gate_mode"] = "per_layer"
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "per_layer.bin"
+        bad.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + hlen:])
+        rc = main(["predict", "--checkpoint", str(bad),
+                   "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out", str(tmp_path / "preds.json")])
+        assert rc == 1
+        assert f"error: {bad}: config: unknown gate_mode 'per_layer'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "preds.json").exists()
+
+    def test_ablate_manifest_records_the_checkpoints_that_ran(self, workdir, tmp_path):
+        from conceptqa import model as model_mod
+        from conceptqa.evaluation import ABLATION_VARIANTS
+        n_vocab = len(json.loads((workdir / "vocab.json").read_text())["pieces"])
+        config = model_mod.ModelConfig(layers=1, hidden=8, heads=2, lora_rank=2,
+                                       vocab_size=n_vocab)
+        ckpt_dir = tmp_path / "variants"
+        ckpt_dir.mkdir()
+        paths = []
+        for seed, variant in enumerate(ABLATION_VARIANTS):
+            paths.append(ckpt_dir / f"checkpoint-{variant}.bin")
+            model_mod.save_checkpoint(model_mod.build_model(config, seed=seed), paths[-1])
+        settings = tmp_path / "c.json"
+        settings.write_text(json.dumps({"split": TRAIN_CONFIG["split"]}), encoding="utf-8")
+        out_dir = tmp_path / "abl"
+        rc = main(["ablate", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(out_dir), "--checkpoints", str(ckpt_dir),
+                   "--config", str(settings)])
+        assert rc == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["settings"]["model"] == {
+            variant: json.loads(json.dumps(dataclasses.asdict(config)))
+            for variant in ABLATION_VARIANTS}
+        hashes = manifest["input_hashes"]
+        assert {str(p) for p in paths} <= set(hashes)
+        assert hashes[str(paths[0])] == hashlib.sha256(paths[0].read_bytes()).hexdigest()
+
     def test_ablate_with_pretrained_checkpoints(self, workdir, trained, capsys):
         ckpt_dir = workdir / "variants"
         ckpt_dir.mkdir(exist_ok=True)
@@ -486,6 +554,7 @@ class TestExitCodes:
         ("model=3", "setting model must be an object, got 3"),
         ("train=3", "setting train must be an object, got 3"),
         ("modle.hidden=8", "override 'modle.hidden': unknown settings section 'modle'"),
+        ("model.gate_mode=per_layer", "setting model: unknown gate_mode 'per_layer'"),
     ])
     def test_bad_override_is_one(self, workdir, tmp_path, capsys, override, key):
         rc = main(["train", "--data", str(workdir / "flat.json"),

@@ -103,7 +103,7 @@ class TestLoraApply:
         a = rng.standard_normal((8, 3))
         b = np.zeros((3, 6))
         x = rng.standard_normal(8)
-        np.testing.assert_array_equal(M._lin_fwd(x, w, None, a, b, 2.0)[0], x @ w)
+        np.testing.assert_array_equal(M._lin_fwd(x, w, a, b, 2.0)[0], x @ w)
 
     def test_scale_is_alpha_over_rank(self):
         cfg = ModelConfig(lora_rank=8, lora_alpha=16.0)
@@ -116,7 +116,7 @@ class TestLoraApply:
         b = rng.standard_normal((8, 8))
         x = rng.standard_normal((5, 8))
         dense = x @ (w + 2.0 * (a @ b))
-        np.testing.assert_allclose(M._lin_fwd(x, w, None, a, b, 2.0)[0], dense, atol=1e-12)
+        np.testing.assert_allclose(M._lin_fwd(x, w, a, b, 2.0)[0], dense, atol=1e-12)
 
 
 def loop_attention(h, params, layer, cfg):
@@ -642,11 +642,11 @@ class TestParameterAccounting:
         assert counts["by_group"]["gates"] == 590_592
         assert counts["by_group"]["gates"] < 1_200_000
 
-    def test_per_layer_gates_scale_with_depth(self):
-        shared = count_parameters(ModelConfig(layers=4, hidden=32, heads=4))
-        per_layer = count_parameters(ModelConfig(layers=4, hidden=32, heads=4,
-                                                 gate_mode="per_layer"))
-        assert per_layer["by_group"]["gates"] == 4 * shared["by_group"]["gates"]
+    @pytest.mark.parametrize("layers", [1, 4])
+    def test_gate_budget_is_the_same_at_every_depth(self, layers):
+        d = 32
+        counts = count_parameters(ModelConfig(layers=layers, hidden=d, heads=4))
+        assert counts["by_group"]["gates"] == d * d + d
 
     def test_counts_match_materialized_params(self, small_model):
         counts = count_parameters(small_model.config)
@@ -686,6 +686,20 @@ class TestCheckpoint:
                                              "19504 bytes, the config's tensors take 18504$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, value", [("heads.start.weight", np.nan),
+                                             ("layer0.ffn.w1", np.inf),
+                                             ("embed.token_table", -np.inf),
+                                             ("gate.b", np.nan)])
+    def test_rejects_a_non_finite_tensor(self, tmp_path, name, value):
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
+        model = build_model(cfg, seed=5)
+        model.params[name].flat[-1] = value
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensor '{name}' "
+                                             "holds a non-finite value$"):
+            load_checkpoint(path)
+
     def test_header_holds_the_config_seed_and_dictionary_version_only(self, tmp_path):
         cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
         path = tmp_path / "model.bin"
@@ -712,7 +726,7 @@ class TestCheckpoint:
             vocab_size=data.draw(st.integers(1, 12), label="vocab_size"),
             lora_rank=data.draw(st.integers(1, 3), label="lora_rank"),
             max_rel_distance=data.draw(st.integers(0, 3), label="max_rel_distance"),
-            gate_mode=data.draw(st.sampled_from(["shared", "per_layer", "off"]),
+            gate_mode=data.draw(st.sampled_from(["shared", "off"]),
                                 label="gate_mode"),
             boost_mode=data.draw(st.sampled_from(["residual_gate", "attention_score", "off"]),
                                  label="boost_mode"),
