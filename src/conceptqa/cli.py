@@ -368,7 +368,7 @@ def cmd_ablate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports, configs, loaded = [], {}, []
+    reports, configs, seeds, loaded = [], {}, {}, []
     for variant in evaluation.ABLATION_VARIANTS:
         if args.train_first:
             model, _, diverged = _train(evaluation.apply_ablation(settings.model, variant),
@@ -382,6 +382,7 @@ def cmd_ablate(args) -> int:
                 raise ValueError(f"missing checkpoint for variant {variant}: {path}")
             model = _open_checkpoint(path, vocab, dictionary, args.vocab)
             loaded.append(str(path))
+            seeds[variant] = model.seed
         configs[variant] = dataclasses.asdict(model.config)
         report = evaluation.evaluate(model, enc_test, ablation=variant, vocab=vocab,
                                      dictionary=dictionary)
@@ -393,10 +394,14 @@ def cmd_ablate(args) -> int:
     with open(out_dir / "ablation.json", "w", encoding="utf-8") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
-    # each variant's model as it ran: its checkpoint's, or the ablated model section
-    _write_manifest(args, {**dataclasses.asdict(settings), "model": configs},
+    # each variant's model as it ran: its checkpoint's, or the ablated model
+    # section; loaded checkpoints ran no training and carry their own seeds
+    ran = {**dataclasses.asdict(settings), "model": configs}
+    if not args.train_first:
+        del ran["train"], ran["stages"]
+    _write_manifest(args, ran,
                     [str(out_dir / "ablation.txt"), str(out_dir / "ablation.json")],
-                    seed=settings.train.seed, inputs=loaded)
+                    seed=settings.train.seed if args.train_first else seeds, inputs=loaded)
     return 0
 
 

@@ -1,5 +1,12 @@
 """Model evaluation: span prediction, the five answer metrics, latency,
 and the ablation variants (full / no gating / no dictionary / no residual).
+
+Inference is batched.  ``predict_all`` and the embedding score sort their
+sequences by length, longest first, and run one ``encoder_forward`` per
+sub-batch: B rows padded to the sub-batch's first and longest length L, with
+at most ``CELL_BUDGET`` attention cells B·L² and ``ROW_BUDGET`` padded rows
+B·L.  A row that alone exceeds either bound runs alone.  Results come back in
+input order.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .model import (
     ModelConfig,
     encoder_forward,
     predict_span,
-    qa_forward,
+    span_logits,
 )
 from .tokenizer import Vocab
 
@@ -30,6 +37,14 @@ NO_GATING = "no_gating"
 NO_ICD = "no_icd"
 NO_RESIDUAL = "no_residual"
 ABLATION_VARIANTS = (FULL, NO_GATING, NO_ICD, NO_RESIDUAL)
+
+# Sub-batch bounds, from a sweep on the benchmark workloads.  The cells bound
+# the attention scores: 16Ki is 4 rows at L = 64 and one past L = 128; larger
+# budgets ran slower per row.  The rows bound the position-wise layers, whose
+# working set grows with B·L (55 rows at L = 17 took 4 MB) and binds below
+# L = 64; without it, short-row sub-batches ran slower and raised peak RSS.
+CELL_BUDGET = 16 * 1024
+ROW_BUDGET = 256
 
 
 def apply_ablation(config: ModelConfig, variant: str) -> ModelConfig:
@@ -79,23 +94,53 @@ class MetricReport:
             fh.write("\n")
 
 
-def model_embedder(model: EncoderModel, vocab: Vocab) -> metrics.Embedder:
-    """Per-token embeddings from the encoder's final hidden states.
+def _forward_rows(model: EncoderModel, rows: list[tuple[np.ndarray, np.ndarray]]) -> list:
+    """Final hidden states (L_i, d) of each (token ids, boost) row, in input order.
 
-    The token list is packed as a context-only sequence and each word's
-    subword states are mean-pooled, yielding one vector per input token.
+    The rows run longest first, so that freed arrays fit the next sub-batch's,
+    in padded sub-batches of at most CELL_BUDGET B·L² cells and ROW_BUDGET B·L
+    rows; a row that alone exceeds either runs alone.
     """
-    def embed_tokens(tokens):
-        piece_ids, counts = vocab.encode_words(tokens)
-        ids = vocab.pack(piece_ids)
-        hidden = encoder_forward(model, ids, np.ones(len(ids)))
-        ends = 1 + np.cumsum(counts)  # past [CLS]
-        out = np.zeros((len(tokens), hidden.shape[1]))
-        for wi, (end, n) in enumerate(zip(ends, counts)):
-            out[wi] = hidden[end - n:end].mean(axis=0)
-        return out
+    order = sorted(range(len(rows)), key=lambda i: -len(rows[i][0]))
+    out = [None] * len(rows)
+    start = 0
+    while start < len(order):
+        seq_len = len(rows[order[start]][0])
+        batch = order[start:start + max(1, min(CELL_BUDGET // seq_len ** 2,
+                                               ROW_BUDGET // seq_len))]
+        lengths = np.array([len(rows[i][0]) for i in batch])
+        ids = np.zeros((len(batch), seq_len), dtype=np.int64)
+        boost = np.ones(ids.shape)
+        for b, i in enumerate(batch):
+            ids[b, :lengths[b]], boost[b, :lengths[b]] = rows[i]
+        hidden = encoder_forward(model, ids, boost, lengths=lengths)
+        for b, i in enumerate(batch):
+            out[i] = hidden[b, :lengths[b]]
+        start += len(batch)
+    return out
 
-    return embed_tokens
+
+def _embed_token_lists(model: EncoderModel, vocab: Vocab, token_lists) -> list[np.ndarray]:
+    """Per-token embeddings of each token list from the encoder's final hidden states.
+
+    Each list is packed as a context-only sequence and each word's subword
+    states are mean-pooled, yielding one vector per input token.
+    """
+    words = [vocab.encode_words(tokens) for tokens in token_lists]
+    hidden = _forward_rows(model, [(ids, np.ones(len(ids)))
+                                   for ids in (vocab.pack(pieces) for pieces, _ in words)])
+    out = []
+    for (pieces, counts), h in zip(words, hidden):
+        counts = np.asarray(counts)
+        sums = np.add.reduceat(h[1:1 + len(pieces)], np.cumsum(counts) - counts)  # past [CLS]
+        out.append(sums / counts[:, None])
+    return out
+
+
+def model_embedder(model: EncoderModel, vocab: Vocab) -> metrics.Embedder:
+    """An embedder of one token list per call, by ``_embed_token_lists``;
+    ``evaluate`` embeds all of its lists in one batched pass instead."""
+    return lambda tokens: _embed_token_lists(model, vocab, [tokens])[0]
 
 
 def predict_all(
@@ -104,11 +149,13 @@ def predict_all(
     vocab: Vocab,
     ablation: str = FULL,
 ) -> list[dict]:
-    """Span predictions as {id, pred_text, gold_text, start, end} dicts."""
+    """Span predictions as {id, pred_text, gold_text, start, end} dicts, from
+    one batched forward pass over the dataset."""
     m = ablated_model(model, ablation)
+    hidden = _forward_rows(m, [(enc.example.token_ids, enc.example.boost) for enc in dataset])
     out = []
-    for enc in dataset:
-        start_logits, end_logits, _ = qa_forward(m, enc.example)
+    for enc, h in zip(dataset, hidden):
+        start_logits, end_logits = span_logits(m, h)
         pred = predict_span(start_logits, end_logits, enc.example, m.config.max_answer_len)
         out.append({
             "id": enc.id,
@@ -170,9 +217,11 @@ def evaluate(
 
     EM and F1 take the max over gold references; BLEU, ROUGE-L and the
     embedding score use the primary reference.  ``mean_latency_ms`` is the
-    wall time of the prediction pass (forward, span search and decode) per
-    example; it is excluded from determinism guarantees.  The decoded
-    predictions ride along on the report as ``predictions``.
+    wall time of the batched prediction pass (forward, span search and decode)
+    per example; it is excluded from determinism guarantees.  Without an
+    ``embedder``, each unique non-empty normalized answer is embedded once, in
+    one batched pass.  The decoded predictions ride along on the report as
+    ``predictions``.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -196,7 +245,12 @@ def evaluate(
             concept_flags.append(any(w in dictionary for w in gold_words))
 
     if embedder is None:
-        embedder = model_embedder(ablated_model(model, ablation), vocab)
+        lists = list(dict.fromkeys(
+            tuple(words) for pair in primary_pairs
+            for words in map(metrics.normalize_answer, pair) if words))
+        table = dict(zip(lists, _embed_token_lists(ablated_model(model, ablation), vocab,
+                                                   lists)))
+        embedder = lambda tokens: table[tuple(tokens)]
     emb = metrics.embed_score(primary_pairs, embedder)
 
     concept_em = None

@@ -12,6 +12,14 @@ Attention scores decompose additively into content-content, content-position
 and position-content interactions over a clipped relative-position table,
 scaled by 1/sqrt(3 * head_dim).  A concept-gated residual block sits between
 each attention sub-layer and its FFN.
+
+``encoder_forward`` runs one example, token ids (L,), or a padded batch
+(B, L): each row's real tokens first, then padding up to the longest row,
+with the real length of each row given.  Padded keys take a -inf score bias,
+so a real row attends to its own tokens only.  The position-wise layers run
+on the B·L rows flattened and the attention on (B, heads, L, L) scores;
+``evaluation.CELL_BUDGET`` and ``ROW_BUDGET`` cap B·L² and B·L per inference
+forward.  The backward runs on one example.
 """
 
 from __future__ import annotations
@@ -294,13 +302,13 @@ def _rel_runs(seq_len: int, max_dist: int) -> np.ndarray:
 
 
 def _split_heads(x, heads):
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+    """(..., L, d) -> (..., heads, L, d / heads)."""
+    return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-2, -3)
 
 
 def _merge_heads(x):
-    heads, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, heads * dh)
+    """(..., heads, L, dh) -> (..., L, heads * dh)."""
+    return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], -1)
 
 
 def _attn_params(params, layer, proj):
@@ -309,10 +317,17 @@ def _attn_params(params, layer, proj):
         params[pre + "lora_a"], params[pre + "lora_b"]
 
 
-def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
+def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None, key_bias=None):
+    """Disentangled self-attention over h (L, d), or over a batch h (B, L, d).
+
+    ``score_boost`` (shaped like h without d) multiplies each key's scores;
+    ``key_bias`` (B, L) is added to them, -inf on a batch's padded keys.
+    """
     nh, dh = config.heads, config.head_dim
     scale = config.lora_scale
-    seq_len = h.shape[0]
+    seq_len, d = h.shape[-2:]
+    n = h.size // d  # rows over the whole batch
+    flat = h.reshape(n, d)
     rel = params[f"layer{layer}.attn.rel_table"]
 
     wq, bq, aq, bbq = _attn_params(params, layer, "q")
@@ -322,32 +337,35 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
 
     # the content rows and the relative-position rows share one projection;
     # only the content rows take the bias, so a zeroed table contributes nothing
-    rows = np.concatenate([h, rel])
+    rows = np.concatenate([flat, rel])
     q, cq = _lin_fwd(rows, wq, aq, bbq, scale)
     k, ck = _lin_fwd(rows, wk, ak, bbk, scale)
-    v, cv = _lin_fwd(h, wv, av, bbv, scale)
-    q, qr = q[:seq_len] + bq, q[seq_len:]
-    k, kr = k[:seq_len] + bk, k[seq_len:]
-    v += bv
+    v, cv = _lin_fwd(flat, wv, av, bbv, scale)
+    q, qr = (q[:n] + bq).reshape(h.shape), q[n:]
+    k, kr = (k[:n] + bk).reshape(h.shape), k[n:]
+    v = (v + bv).reshape(h.shape)
 
     qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
     qrh, krh = _split_heads(qr, nh), _split_heads(kr, nh)
 
     # s = (c2c + c2p + p2c) / sqrt(3 dh), then the softmax, built in place; the
-    # relative terms are their bins repeated along rows (c2p) or columns (p2c)
+    # relative terms are their bins repeated along rows (c2p) or columns (p2c).
+    # A bin depends on j - i alone, so one set of runs serves a padded batch
     runs = _rel_runs(seq_len, config.max_rel_distance)
-    s = qh @ kh.transpose(0, 2, 1)
-    a_c2p = (qh @ krh.transpose(0, 2, 1)).reshape(nh, -1)                     # (nh, L·P)
-    s += np.repeat(a_c2p, runs, axis=1).reshape(nh, seq_len, seq_len)
-    a_p2c = (qrh @ kh.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(nh, -1)  # (nh, L·P)
-    s += np.repeat(a_p2c, runs, axis=1).reshape(nh, seq_len, seq_len).transpose(0, 2, 1)
+    s = qh @ kh.swapaxes(-1, -2)                                          # (..., nh, L, L)
+    a_c2p = (qh @ krh.swapaxes(-1, -2)).reshape(*s.shape[:-2], -1)        # (..., nh, L·P)
+    s += np.repeat(a_c2p, runs, axis=-1).reshape(s.shape)
+    a_p2c = (qrh @ kh.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(*s.shape[:-2], -1)
+    s += np.repeat(a_p2c, runs, axis=-1).reshape(s.shape).swapaxes(-1, -2)
     s /= math.sqrt(3.0 * dh)
     if score_boost is not None:
-        s *= score_boost[None, None, :]
+        s *= score_boost[..., None, None, :]
+    if key_bias is not None:
+        s += key_bias[:, None, None, :]
     s -= s.max(axis=-1, keepdims=True)
     prob = np.exp(s, out=s)
     prob /= prob.sum(axis=-1, keepdims=True)
-    ctx = _merge_heads(prob @ vh)
+    ctx = _merge_heads(prob @ vh).reshape(n, d)
     out, co = _lin_fwd(ctx, wo, ao, bbo, scale)
     out += bo
 
@@ -356,7 +374,7 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None):
         qh=qh, kh=kh, vh=vh, qrh=qrh, krh=krh, prob=prob,
         cq=cq, ck=ck, cv=cv, co=co,
     )
-    return out, cache
+    return out.reshape(h.shape), cache
 
 
 def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
@@ -373,7 +391,7 @@ def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
     wo, _, ao, bbo = _attn_params(params, layer, "o")
 
     dctx2, dao, dbbo = _lin_bwd(dout, wo, ao, bbo, scale, cache["co"])
-    dctx = dctx2.reshape(seq_len, nh, dh).transpose(1, 0, 2)
+    dctx = _split_heads(dctx2, nh)
 
     # softmax adjoint in place: ds = prob * (dprob - rowsum(dprob * prob))
     ds = dctx @ vh.transpose(0, 2, 1)
@@ -437,19 +455,35 @@ def _acc(grads: dict, name: str, value: np.ndarray) -> None:
 
 def embed(model: EncoderModel, token_ids: np.ndarray, dict_flags: np.ndarray) -> np.ndarray:
     """Token + absolute position embeddings, plus the projected domain vector
-    on dictionary-member positions."""
+    on dictionary-member positions; ids (L,) or a batch (B, L) give (..., L, d)."""
     token_ids = np.asarray(token_ids)
     params = model.params
     table = params["embed.token_table"]
     if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= table.shape[0]:
         raise ValueError("token id out of range for the embedding table")
-    seq_len = len(token_ids)
+    seq_len = token_ids.shape[-1]
     if seq_len > model.config.max_len:
         raise ValueError(f"sequence length {seq_len} exceeds max_len {model.config.max_len}")
     h = table[token_ids] + params["embed.position_table"][:seq_len]
     domain = params["embed.domain_projection"] @ params["embed.domain_vector"]
     flags = np.asarray(dict_flags, dtype=bool)
-    return h + flags[:, None] * domain[None, :]
+    return h + flags[..., None] * domain
+
+
+def _key_bias(lengths, shape: tuple[int, ...], dtype) -> np.ndarray | None:
+    """(B, L) score bias of a padded batch: 0 on each row's first ``lengths[b]``
+    keys, -inf on the padding after them; None when nothing is padded."""
+    if lengths is None:
+        return None
+    lengths = np.asarray(lengths)
+    if (len(shape) != 2 or lengths.shape != shape[:1]
+            or not np.issubdtype(lengths.dtype, np.integer)):
+        raise ValueError(f"lengths must be one int per row of a (B, L) batch, "
+                         f"got {lengths.shape} {lengths.dtype} for ids {shape}")
+    if not ((lengths >= 1) & (lengths <= shape[1])).all():
+        raise ValueError(f"row lengths must lie in [1, {shape[1]}], got {lengths.tolist()}")
+    pad = np.arange(shape[1]) >= lengths[:, None]
+    return np.where(pad, -np.inf, 0.0).astype(dtype) if pad.any() else None
 
 
 def encoder_forward(
@@ -457,17 +491,31 @@ def encoder_forward(
     token_ids: np.ndarray,
     boost: np.ndarray,
     return_caches: bool = False,
+    lengths: np.ndarray | None = None,
 ):
     """Run the full encoder stack; returns final hidden states (L, d).
 
     Per layer: disentangled attention -> residual + LayerNorm -> concept gate
     (by gate/boost mode) -> FFN -> residual + LayerNorm.
+
+    A padded batch: ``token_ids`` and ``boost`` are (B, L), row b holds its
+    ``lengths[b]`` real tokens then padding (any in-range id, boost 1), and the
+    result is (B, L, d).  Padded keys are masked out of every softmax, so a
+    real row's states equal its own forward's up to float rounding; a padded
+    position's states mean nothing.  ``lengths`` None means no padding.  The
+    position-wise layers run on the B·L rows flattened; caches for
+    ``encoder_backward`` exist for one example only.
     """
     cfg = model.config
     params = model.params
+    token_ids = np.asarray(token_ids)
     boost = np.asarray(boost, dtype=params["embed.token_table"].dtype)
-    if boost.shape != (len(token_ids),):
-        raise ValueError("boost vector length does not match token count")
+    if token_ids.ndim not in (1, 2) or boost.shape != token_ids.shape:
+        raise ValueError(f"boost vector length does not match token count: "
+                         f"boost {boost.shape}, ids {token_ids.shape}")
+    key_bias = _key_bias(lengths, token_ids.shape, boost.dtype)
+    if return_caches and token_ids.ndim != 1:
+        raise ValueError("caches are kept for one example, not for a batch")
     if cfg.boost_mode == BOOST_OFF:
         boost = np.ones_like(boost)  # dictionary signal fully absent
 
@@ -476,14 +524,19 @@ def encoder_forward(
 
     flags = boost > 1.0
     h = embed(model, token_ids, flags)
+    shape = h.shape
+    h = h.reshape(-1, shape[-1])
+    gate_boost = gate_boost.reshape(-1)
     # one concept gate, shared by every layer
     gate = None if cfg.gate_mode == GATE_OFF else GateParams(params["gate.w"], params["gate.b"])
     caches = {"flags": flags, "gate": gate, "layers": []}
 
     for layer in range(cfg.layers):
-        attn_out, attn_cache = _attention_fwd(h, params, layer, cfg, score_boost)
+        attn_out, attn_cache = _attention_fwd(h.reshape(shape), params, layer, cfg,
+                                              score_boost, key_bias)
         h1, ln1_cache = _layernorm_fwd(
-            h + attn_out, params[f"layer{layer}.ln1.gamma"], params[f"layer{layer}.ln1.beta"]
+            h + attn_out.reshape(h.shape),
+            params[f"layer{layer}.ln1.gamma"], params[f"layer{layer}.ln1.beta"]
         )
         if gate is not None:
             gated, gate_cache = gating.gate_forward(h1, gate_boost, gate, skip=cfg.residual_skip)
@@ -495,10 +548,12 @@ def encoder_forward(
         h, ln2_cache = _layernorm_fwd(
             gated + ffn_out, params[f"layer{layer}.ln2.gamma"], params[f"layer{layer}.ln2.beta"]
         )
-        caches["layers"].append(
-            dict(attn=attn_cache, ln1=ln1_cache, gate=gate_cache,
-                 gelu=gelu_cache, gated=gated, ln2=ln2_cache)
-        )
+        if return_caches:  # else each layer's activations are freed as the next runs
+            caches["layers"].append(
+                dict(attn=attn_cache, ln1=ln1_cache, gate=gate_cache,
+                     gelu=gelu_cache, gated=gated, ln2=ln2_cache)
+            )
+    h = h.reshape(shape)
     if return_caches:
         return h, caches
     return h

@@ -431,6 +431,33 @@ class TestTrainEvalPredict:
         assert {str(p) for p in paths} <= set(hashes)
         assert hashes[str(paths[0])] == hashlib.sha256(paths[0].read_bytes()).hexdigest()
 
+    def test_ablate_manifest_records_each_checkpoint_seed(self, workdir, tmp_path):
+        from conceptqa import model as model_mod
+        from conceptqa.evaluation import ABLATION_VARIANTS
+        n_vocab = len(json.loads((workdir / "vocab.json").read_text())["pieces"])
+        config = model_mod.ModelConfig(layers=1, hidden=8, heads=2, lora_rank=2,
+                                       vocab_size=n_vocab)
+        ckpt_dir = tmp_path / "variants"
+        ckpt_dir.mkdir()
+        for seed, variant in enumerate(ABLATION_VARIANTS, start=10):
+            model_mod.save_checkpoint(model_mod.build_model(config, seed=seed),
+                                      ckpt_dir / f"checkpoint-{variant}.bin")
+        settings = tmp_path / "c.json"
+        settings.write_text(json.dumps({"split": TRAIN_CONFIG["split"]}), encoding="utf-8")
+        out_dir = tmp_path / "abl"
+        rc = main(["ablate", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(out_dir), "--checkpoints", str(ckpt_dir),
+                   "--config", str(settings)])
+        assert rc == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["seed"] == {"full": 10, "no_gating": 11, "no_icd": 12,
+                                    "no_residual": 13}
+        # no training ran: only the split and the models that did run are recorded
+        assert set(manifest["settings"]) == {"model", "split"}
+        assert manifest["settings"]["split"] == TRAIN_CONFIG["split"]
+
     def test_ablate_with_pretrained_checkpoints(self, workdir, trained, capsys):
         ckpt_dir = workdir / "variants"
         ckpt_dir.mkdir(exist_ok=True)

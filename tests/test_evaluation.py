@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,27 @@ from conceptqa.evaluation import (
     model_embedder,
     predict_all,
 )
-from conceptqa import evaluation
+from conceptqa import evaluation, metrics
 from conceptqa import model as M
 from conceptqa.model import encoder_forward
 from conceptqa.tokenizer import build_boost_vector
+
+
+def count_forwarded_rows(monkeypatch) -> Counter:
+    """Counter of the real token-id rows that go through ``encoder_forward``
+    from here on, one example or each row of a padded batch."""
+    rows = Counter()
+    forward = M.encoder_forward
+
+    def counting(model, token_ids, boost, return_caches=False, lengths=None):
+        ids = np.atleast_2d(token_ids)
+        for row, n in zip(ids, [ids.shape[1]] * len(ids) if lengths is None else lengths):
+            rows[tuple(row[:n])] += 1
+        return forward(model, token_ids, boost, return_caches, lengths)
+
+    monkeypatch.setattr(M, "encoder_forward", counting)
+    monkeypatch.setattr(evaluation, "encoder_forward", counting)
+    return rows
 
 
 class TestAblationMapping:
@@ -86,25 +105,12 @@ class TestEvaluate:
 
 class TestLatency:
     def test_one_prediction_pass_sets_latency(self, memorized, monkeypatch):
+        # each example is forwarded exactly once, in one batched prediction pass
         model, encoded, vocab, _ = memorized
-        calls = {"qa_forward": 0, "encoder_forward": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        # encoder_forward is bound in both modules: qa_forward calls the
-        # model's, and evaluation's own helpers call the imported name
-        forward = counting("encoder_forward", M.encoder_forward)
-        monkeypatch.setattr(M, "encoder_forward", forward)
-        monkeypatch.setattr(evaluation, "encoder_forward", forward)
-        monkeypatch.setattr(evaluation, "qa_forward",
-                            counting("qa_forward", evaluation.qa_forward))
+        rows = count_forwarded_rows(monkeypatch)
         report = evaluate(model, encoded, vocab=vocab,
                           embedder=lambda tokens: np.ones((len(tokens), 4)))
-        assert calls == {"qa_forward": len(encoded), "encoder_forward": len(encoded)}
+        assert rows == Counter(tuple(enc.example.token_ids) for enc in encoded)
         assert report.mean_latency_ms > 0
         assert report.predictions == predict_all(model, encoded, vocab)
 
@@ -112,6 +118,42 @@ class TestLatency:
         model, encoded, _, _ = memorized
         ratio = latency_ratio(model, encoded[:4], FULL, NO_GATING, repeats=3)
         assert ratio < 1.5  # loose smoke bound; the acceptance suite pins 1.15
+
+
+class TestBatchedInference:
+    @pytest.mark.parametrize("rows_at_longest", [None, 3, 0])
+    def test_predictions_in_input_order_match_single_forwards(
+            self, tiny_model, tiny_encoded, tiny_vocab, monkeypatch, rows_at_longest):
+        # the default bounds (several sub-batches), a cell budget of 3 rows at
+        # the longest length, and one below any row's L² (each row alone)
+        order = np.random.default_rng(3).permutation(len(tiny_encoded))
+        shuffled = [tiny_encoded[i] for i in order]
+        longest = max(len(enc.example) for enc in shuffled)
+        assert len({len(enc.example) for enc in shuffled}) > 1
+        if rows_at_longest is not None:
+            monkeypatch.setattr(evaluation, "CELL_BUDGET", max(1, rows_at_longest * longest ** 2))
+        expect = []
+        for enc in shuffled:
+            start, end, _ = M.qa_forward(tiny_model, enc.example)
+            pred = M.predict_span(start, end, enc.example, tiny_model.config.max_answer_len)
+            expect.append((enc.id, pred.start, pred.end))
+        got = predict_all(tiny_model, shuffled, tiny_vocab)
+        assert [(p["id"], p["start"], p["end"]) for p in got] == expect
+
+    def test_evaluate_embeds_each_unique_answer_once(self, memorized, monkeypatch):
+        model, encoded, vocab, dictionary = memorized
+        per_call = evaluate(model, encoded, vocab=vocab, dictionary=dictionary,
+                            embedder=model_embedder(model, vocab))
+        rows = count_forwarded_rows(monkeypatch)
+        report = evaluate(model, encoded, vocab=vocab, dictionary=dictionary)
+        # the memorized model predicts every gold text: each answer repeats
+        answers = {tuple(metrics.normalize_answer(text)) for p in report.predictions
+                   for text in (p["pred_text"], p["gold_text"])} - {()}
+        embedded = {tuple(vocab.pack(vocab.encode_words(list(words))[0])) for words in answers}
+        assert len(embedded) < 2 * len(encoded)
+        assert rows == Counter(tuple(enc.example.token_ids) for enc in encoded) + \
+            Counter(embedded)
+        assert report.embed_score == pytest.approx(per_call.embed_score, abs=1e-6)
 
 
 class TestReportFormat:

@@ -296,6 +296,68 @@ class TestEncoderForward:
         assert np.isfinite(h).all()
 
 
+# float32 rounding: a padded batch runs other matmul shapes than one example;
+# the real rows differed from the single forward by at most 5.4e-7 in 200 trials
+PADDED_ATOL = 1e-5
+
+
+class TestPaddedBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 24), min_size=1, max_size=5),
+           boost_mode=st.sampled_from(["residual_gate", "attention_score", "off"]),
+           gate_mode=st.sampled_from(["shared", "off"]),
+           seed=st.integers(0, 2**16))
+    @example(lengths=[24, 1, 7], boost_mode="attention_score", gate_mode="shared", seed=0)
+    def test_real_rows_match_the_single_forward(self, lengths, boost_mode, gate_mode, seed):
+        # rows past the relative-distance clip (L > 2·3 + 1) included; padding
+        # holds random ids and boosts, which must not reach a real row
+        cfg = ModelConfig(layers=2, hidden=16, heads=2, vocab_size=64, lora_rank=2,
+                          max_rel_distance=3, boost_mode=boost_mode, gate_mode=gate_mode)
+        model = build_model(cfg, seed=1)
+        rng = np.random.default_rng(seed)
+        for name, p in model.params.items():
+            if name.endswith(".lora_b") or name.startswith("gate."):
+                p[...] = rng.standard_normal(p.shape) * 0.3
+        shape = (len(lengths), max(lengths))
+        ids = rng.integers(0, 64, shape)
+        boost = np.where(rng.random(shape) < 0.4, rng.uniform(1.0, 3.0, shape), 1.0)
+        hidden = encoder_forward(model, ids, boost, lengths=np.array(lengths))
+        assert hidden.shape == (*shape, cfg.hidden)
+        for row, n in enumerate(lengths):
+            single = encoder_forward(model, ids[row, :n], boost[row, :n])
+            np.testing.assert_allclose(hidden[row, :n], single, rtol=0, atol=PADDED_ATOL)
+
+    def test_unpadded_batch_without_lengths(self, small_model):
+        ex = toy_example()
+        ids, boost = np.stack([ex.token_ids] * 2), np.stack([ex.boost] * 2)
+        hidden = encoder_forward(small_model, ids, boost)
+        single = encoder_forward(small_model, ex.token_ids, ex.boost)
+        np.testing.assert_allclose(hidden, np.stack([single] * 2), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ids_shape, boost_shape, lengths", [
+        ((2, 5), (2, 4), None),           # boost row length differs
+        ((2, 5), (3, 5), None),           # boost row count differs
+        ((2, 5), (5,), None),             # one boost for a batch
+        ((5,), (2, 5), None),             # a batch of boosts for one example
+        ((1, 2, 5), (1, 2, 5), None),     # not (L,) or (B, L)
+        ((2, 5), (2, 5), [5]),            # one length for two rows
+        ((2, 5), (2, 5), [5, 0]),         # an empty row
+        ((2, 5), (2, 5), [5, 6]),         # a row longer than the batch
+        ((2, 5), (2, 5), [5.0, 3.0]),     # lengths that are not ints
+        ((5,), (5,), [5]),                # lengths for one example
+    ])
+    def test_malformed_batch_raises_value_error(self, small_model, ids_shape, boost_shape,
+                                                lengths):
+        with pytest.raises(ValueError, match="boost vector length|lengths"):
+            encoder_forward(small_model, np.zeros(ids_shape, dtype=int), np.ones(boost_shape),
+                            lengths=None if lengths is None else np.array(lengths))
+
+    def test_a_batch_keeps_no_caches(self, small_model):
+        with pytest.raises(ValueError, match="one example"):
+            encoder_forward(small_model, np.zeros((2, 5), dtype=int), np.ones((2, 5)),
+                            return_caches=True)
+
+
 class TestSpanLoss:
     def test_saturated_correct_prediction(self):
         start = np.full(20, -40.0)
