@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .text import _field, _items, normalize_text, read_json_object
+from .text import _field, _items, normalize_text, normalize_words, read_json_object
 
 log = logging.getLogger(__name__)
 
@@ -75,9 +75,10 @@ class ConceptDictionary:
     def lookup(self, term: str) -> ConceptEntry | None:
         return self.entries.get(normalize_text(term))
 
-    def boost_of(self, term: str) -> float:
-        """Boost factor for ``term``, 1.0 when the term is not in the dictionary."""
-        entry = self.lookup(term)
+    def boost_of(self, word: str) -> float:
+        """Boost factor of an already normalized ``word`` (one of ``normalize_words``),
+        1.0 when it is not in the dictionary."""
+        entry = self.entries.get(word)
         return entry.boost_factor if entry is not None else 1.0
 
     def validate(self) -> None:
@@ -163,9 +164,8 @@ def build_dictionary(
     occurrences = {key: 0 for key in norm_terms}
     doc_hits = {key: 0 for key in norm_terms}
     for doc in corpus:
-        words = normalize_text(doc).split()
         seen = set()
-        for w in words:
+        for w in normalize_words(doc):
             if w in occurrences:
                 occurrences[w] += 1
                 seen.add(w)

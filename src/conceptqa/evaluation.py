@@ -4,9 +4,8 @@ and the ablation variants (full / no gating / no dictionary / no residual).
 Inference is batched.  ``predict_all`` and the embedding score sort their
 sequences by length, longest first, and run one ``encoder_forward`` per
 sub-batch: B rows padded to the sub-batch's first and longest length L, with
-at most ``CELL_BUDGET`` attention cells B·L² and ``ROW_BUDGET`` padded rows
-B·L.  A row that alone exceeds either bound runs alone.  Results come back in
-input order.
+at most ``ROW_BUDGET`` padded rows B·L.  A row that alone exceeds the bound
+runs alone.  Results come back in input order.
 """
 
 from __future__ import annotations
@@ -38,12 +37,11 @@ NO_ICD = "no_icd"
 NO_RESIDUAL = "no_residual"
 ABLATION_VARIANTS = (FULL, NO_GATING, NO_ICD, NO_RESIDUAL)
 
-# Sub-batch bounds, from a sweep on the benchmark workloads.  The cells bound
-# the attention scores: 16Ki is 4 rows at L = 64 and one past L = 128; larger
-# budgets ran slower per row.  The rows bound the position-wise layers, whose
-# working set grows with B·L (55 rows at L = 17 took 4 MB) and binds below
-# L = 64; without it, short-row sub-batches ran slower and raised peak RSS.
-CELL_BUDGET = 16 * 1024
+# Sub-batch bound on padded rows B·L, from a sweep on the benchmark workloads.
+# The position-wise layers' working set grows with B·L (55 rows at L = 17 took
+# 4 MB); larger sub-batches ran slower per row and raised peak RSS.  Past
+# L = 128 a row runs alone.  A second bound of 16Ki attention cells B·L²,
+# tighter only at L 74-85 and 91-128, ran predict no faster there.
 ROW_BUDGET = 256
 
 
@@ -98,16 +96,15 @@ def _forward_rows(model: EncoderModel, rows: list[tuple[np.ndarray, np.ndarray]]
     """Final hidden states (L_i, d) of each (token ids, boost) row, in input order.
 
     The rows run longest first, so that freed arrays fit the next sub-batch's,
-    in padded sub-batches of at most CELL_BUDGET B·L² cells and ROW_BUDGET B·L
-    rows; a row that alone exceeds either runs alone.
+    in padded sub-batches of at most ROW_BUDGET B·L rows; a row that alone
+    exceeds it runs alone.
     """
     order = sorted(range(len(rows)), key=lambda i: -len(rows[i][0]))
     out = [None] * len(rows)
     start = 0
     while start < len(order):
         seq_len = len(rows[order[start]][0])
-        batch = order[start:start + max(1, min(CELL_BUDGET // seq_len ** 2,
-                                               ROW_BUDGET // seq_len))]
+        batch = order[start:start + max(1, ROW_BUDGET // seq_len)]
         lengths = np.array([len(rows[i][0]) for i in batch])
         ids = np.zeros((len(batch), seq_len), dtype=np.int64)
         boost = np.ones(ids.shape)
@@ -210,7 +207,6 @@ def evaluate(
     ablation: str = FULL,
     *,
     vocab: Vocab,
-    embedder: metrics.Embedder | None = None,
     dictionary: ConceptDictionary | None = None,
 ) -> MetricReport:
     """Full metric pass over an encoded dataset, from one prediction pass.
@@ -218,10 +214,9 @@ def evaluate(
     EM and F1 take the max over gold references; BLEU, ROUGE-L and the
     embedding score use the primary reference.  ``mean_latency_ms`` is the
     wall time of the batched prediction pass (forward, span search and decode)
-    per example; it is excluded from determinism guarantees.  Without an
-    ``embedder``, each unique non-empty normalized answer is embedded once, in
-    one batched pass.  The decoded predictions ride along on the report as
-    ``predictions``.
+    per example; it is excluded from determinism guarantees.  Each unique
+    non-empty normalized answer is embedded once, in one batched pass.  The
+    decoded predictions ride along on the report as ``predictions``.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -242,16 +237,13 @@ def evaluate(
         primary_pairs.append((text, enc.gold_texts[0]))
         if dictionary is not None:
             gold_words = metrics.normalize_answer(enc.gold_texts[0])
-            concept_flags.append(any(w in dictionary for w in gold_words))
+            concept_flags.append(any(w in dictionary.entries for w in gold_words))
 
-    if embedder is None:
-        lists = list(dict.fromkeys(
-            tuple(words) for pair in primary_pairs
-            for words in map(metrics.normalize_answer, pair) if words))
-        table = dict(zip(lists, _embed_token_lists(ablated_model(model, ablation), vocab,
-                                                   lists)))
-        embedder = lambda tokens: table[tuple(tokens)]
-    emb = metrics.embed_score(primary_pairs, embedder)
+    lists = list(dict.fromkeys(
+        tuple(words) for pair in primary_pairs
+        for words in map(metrics.normalize_answer, pair) if words))
+    table = dict(zip(lists, _embed_token_lists(ablated_model(model, ablation), vocab, lists)))
+    emb = metrics.embed_score(primary_pairs, lambda tokens: table[tuple(tokens)])
 
     concept_em = None
     if dictionary is not None and any(concept_flags):

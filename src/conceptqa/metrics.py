@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .text import normalize_text
+from .text import normalize_words
 
 ARTICLES = {"a", "an", "the"}
 BLEU_EPS = 1e-9
@@ -24,8 +24,8 @@ Embedder = Callable[[Sequence[str]], np.ndarray]
 
 
 def normalize_answer(text: str) -> list[str]:
-    """Lowercase, strip punctuation, drop articles, collapse whitespace, split."""
-    return [w for w in normalize_text(text).split() if w and w not in ARTICLES]
+    """The words of ``normalize_words`` without English articles."""
+    return [w for w in normalize_words(text) if w not in ARTICLES]
 
 
 def token_f1(pred: str, gold: str) -> float:

@@ -18,8 +18,8 @@ each attention sub-layer and its FFN.
 with the real length of each row given.  Padded keys take a -inf score bias,
 so a real row attends to its own tokens only.  The position-wise layers run
 on the B·L rows flattened and the attention on (B, heads, L, L) scores;
-``evaluation.CELL_BUDGET`` and ``ROW_BUDGET`` cap B·L² and B·L per inference
-forward.  The backward runs on one example.
+``evaluation.ROW_BUDGET`` caps B·L per inference forward.  The backward runs
+on one example.
 """
 
 from __future__ import annotations

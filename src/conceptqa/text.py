@@ -1,8 +1,9 @@
 """Text normalization and the reader of JSON input files, shared across the package.
 
 Normalization is deliberately simple and deterministic: lowercase, map a small
-transliteration table (so e.g. "Ṣaḥīḥ" and "sahih" compare equal), strip
-punctuation, collapse whitespace.
+transliteration table (so e.g. "Ṣaḥīḥ" and "sahih" compare equal), turn
+punctuation into spaces and split on whitespace.  ``normalize_words`` is the
+one normalizer; ``normalize_text`` joins its words with single spaces.
 """
 
 from __future__ import annotations
@@ -33,20 +34,17 @@ TRANSLITERATION = {
 
 _TRANSLIT_TABLE = str.maketrans(TRANSLITERATION)
 _PUNCT_RE = re.compile(r"[^\w\s]")
-_WS_RE = re.compile(r"\s+")
-
-
-def normalize_text(text: str) -> str:
-    """Lowercase, transliterate, strip punctuation and collapse whitespace."""
-    text = text.lower().translate(_TRANSLIT_TABLE)
-    text = _PUNCT_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
 
 
 def normalize_words(text: str) -> list[str]:
-    """Normalized word list of ``text`` (empty list for blank input)."""
-    norm = normalize_text(text)
-    return norm.split(" ") if norm else []
+    """Lowercase, transliterate, turn punctuation into spaces and split on
+    whitespace (empty list for blank input)."""
+    return _PUNCT_RE.sub(" ", text.lower().translate(_TRANSLIT_TABLE)).split()
+
+
+def normalize_text(text: str) -> str:
+    """The words of ``normalize_words`` joined by single spaces."""
+    return " ".join(normalize_words(text))
 
 
 def words_with_spans(text: str) -> list[tuple[str, int, int]]:

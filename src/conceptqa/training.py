@@ -185,12 +185,16 @@ class SynonymTable:
         self.table = {normalize_text(k): list(v) for k, v in self.table.items()}
 
     def validate_against(self, dictionary: ConceptDictionary) -> None:
+        """ValueError naming the first key or alternative whose normalized words
+        hold a dictionary term, as "the prophet" and "prayer-time" do."""
         for key, values in self.table.items():
-            if key in dictionary:
-                raise ValueError(f"synonym key {key!r} is a dictionary concept term")
-            for v in values:
-                if v in dictionary:
-                    raise ValueError(f"synonym value {v!r} is a dictionary concept term")
+            for kind, phrase in [("key", key), *(("value", v) for v in values)]:
+                norm = normalize_text(phrase)
+                for term in dictionary.entries:
+                    if f" {term} " in f" {norm} ":
+                        raise ValueError(f"synonym {kind} {phrase!r} " + (
+                            "is a dictionary concept term" if norm == term
+                            else f"holds dictionary concept term {term!r}"))
 
     @classmethod
     def load(cls, path: str | Path) -> "SynonymTable":
@@ -238,7 +242,7 @@ def augment_synonym(
             and (end <= ans_start or start >= ans_end)
             and key in table.table
             and table.table[key]
-            and key not in dictionary
+            and key not in dictionary.entries
         )
         if eligible and rng.random() < rate:
             candidates = table.table[key]

@@ -802,6 +802,26 @@ class TestExitCodes:
         assert (f"error: {path}: synonym key 'prophet' is a dictionary concept term"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("raw, message", [
+        ('{"gathering": ["the prophet"]}',
+         "synonym value 'the prophet' holds dictionary concept term 'prophet'"),
+        ('{"evening": ["dusk", "prayer-time"]}',
+         "synonym value 'prayer-time' holds dictionary concept term 'prayer'"),
+        ('{"Faith-keeping": ["devotion"]}',
+         "synonym key 'faith keeping' holds dictionary concept term 'faith'"),
+    ])
+    def test_synonym_holding_concept_term_is_one(self, workdir, tmp_path, capsys, raw,
+                                                 message):
+        # a multi-word alternative would plant the term in an augmented context
+        path = tmp_path / "synonyms.json"
+        path.write_text(raw, encoding="utf-8")
+        rc = main(["data", "augment", "--in", str(workdir / "flat.json"),
+                   "--out", str(tmp_path / "augmented.json"), "--synonyms", str(path),
+                   "--dict", str(workdir / "icd.json"), "--rate", "1.0"])
+        assert rc == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "augmented.json").exists()
+
     def test_divergence_before_validation_says_so(self, workdir, tmp_path, capsys,
                                                   monkeypatch):
         from conceptqa import model as model_mod

@@ -42,6 +42,14 @@ def count_forwarded_rows(monkeypatch) -> Counter:
     return rows
 
 
+def embedded_answer_rows(report, vocab) -> Counter:
+    """The packed ids of each unique non-empty normalized answer of ``report``,
+    predicted or gold, once each."""
+    answers = {tuple(metrics.normalize_answer(text)) for p in report.predictions
+               for text in (p["pred_text"], p["gold_text"])} - {()}
+    return Counter(tuple(vocab.pack(vocab.encode_words(list(words))[0])) for words in answers)
+
+
 class TestAblationMapping:
     def test_variant_configs(self, tiny_model):
         cfg = tiny_model.config
@@ -105,12 +113,13 @@ class TestEvaluate:
 
 class TestLatency:
     def test_one_prediction_pass_sets_latency(self, memorized, monkeypatch):
-        # each example is forwarded exactly once, in one batched prediction pass
+        # each example is forwarded exactly once, in one batched prediction pass;
+        # the only other rows are the embedding score's answers
         model, encoded, vocab, _ = memorized
         rows = count_forwarded_rows(monkeypatch)
-        report = evaluate(model, encoded, vocab=vocab,
-                          embedder=lambda tokens: np.ones((len(tokens), 4)))
-        assert rows == Counter(tuple(enc.example.token_ids) for enc in encoded)
+        report = evaluate(model, encoded, vocab=vocab)
+        assert rows == Counter(tuple(enc.example.token_ids) for enc in encoded) + \
+            embedded_answer_rows(report, vocab)
         assert report.mean_latency_ms > 0
         assert report.predictions == predict_all(model, encoded, vocab)
 
@@ -124,14 +133,14 @@ class TestBatchedInference:
     @pytest.mark.parametrize("rows_at_longest", [None, 3, 0])
     def test_predictions_in_input_order_match_single_forwards(
             self, tiny_model, tiny_encoded, tiny_vocab, monkeypatch, rows_at_longest):
-        # the default bounds (several sub-batches), a cell budget of 3 rows at
-        # the longest length, and one below any row's L² (each row alone)
+        # the default bound (several sub-batches), a row budget of 3 rows at
+        # the longest length, and one below any row's L (each row alone)
         order = np.random.default_rng(3).permutation(len(tiny_encoded))
         shuffled = [tiny_encoded[i] for i in order]
         longest = max(len(enc.example) for enc in shuffled)
         assert len({len(enc.example) for enc in shuffled}) > 1
         if rows_at_longest is not None:
-            monkeypatch.setattr(evaluation, "CELL_BUDGET", max(1, rows_at_longest * longest ** 2))
+            monkeypatch.setattr(evaluation, "ROW_BUDGET", max(1, rows_at_longest * longest))
         expect = []
         for enc in shuffled:
             start, end, _ = M.qa_forward(tiny_model, enc.example)
@@ -142,18 +151,16 @@ class TestBatchedInference:
 
     def test_evaluate_embeds_each_unique_answer_once(self, memorized, monkeypatch):
         model, encoded, vocab, dictionary = memorized
-        per_call = evaluate(model, encoded, vocab=vocab, dictionary=dictionary,
-                            embedder=model_embedder(model, vocab))
         rows = count_forwarded_rows(monkeypatch)
         report = evaluate(model, encoded, vocab=vocab, dictionary=dictionary)
         # the memorized model predicts every gold text: each answer repeats
-        answers = {tuple(metrics.normalize_answer(text)) for p in report.predictions
-                   for text in (p["pred_text"], p["gold_text"])} - {()}
-        embedded = {tuple(vocab.pack(vocab.encode_words(list(words))[0])) for words in answers}
+        embedded = embedded_answer_rows(report, vocab)
         assert len(embedded) < 2 * len(encoded)
-        assert rows == Counter(tuple(enc.example.token_ids) for enc in encoded) + \
-            Counter(embedded)
-        assert report.embed_score == pytest.approx(per_call.embed_score, abs=1e-6)
+        assert rows == Counter(tuple(enc.example.token_ids) for enc in encoded) + embedded
+        per_call = metrics.embed_score([(p["pred_text"], p["gold_text"])
+                                        for p in report.predictions],
+                                       model_embedder(model, vocab))
+        assert report.embed_score == pytest.approx(per_call, abs=1e-6)
 
 
 class TestReportFormat:

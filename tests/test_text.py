@@ -1,0 +1,52 @@
+"""``normalize_words`` is the one normalizer, and it runs once per word.
+
+Its words and ``normalize_text``'s string equal the two-regex reference in
+``text_reference.py`` on text drawn from every whitespace code point up to
+U+3000, punctuation, the transliteration keys, combining marks and word
+characters.  Boost vectors of encoded examples read the tokenizer's already
+normalized words without normalizing them again.
+"""
+
+import string
+
+from hypothesis import given, settings, strategies as st
+
+import text_reference as ref
+from conceptqa import dictionary, text, tokenizer
+from conceptqa.tokenizer import build_boost_vector
+
+WHITESPACE = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+CHARS = sorted({*WHITESPACE, *string.punctuation, "\u2014", "\u00ab", "\u00bf", "\u2026",
+                "\u00ad", *text.TRANSLITERATION, "\u0130", "\u03a3", "\u00df",
+                "\u0300", "\u0301", "\u0307", "\u0327", *string.digits, "\u0663", "_",
+                "a", "Z", "\u00e9", "\u0639"})
+
+
+def test_alphabet_holds_the_rare_whitespace():
+    for ch in "\u001c\u001d\u001e\u001f\u0085\u00a0\u2028\u2029\u3000":
+        assert ch in CHARS
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.sampled_from(CHARS), max_size=40))
+def test_normalizer_matches_two_regex_reference(raw):
+    words = text.normalize_words(raw)
+    assert words == ref.normalize_words(raw)
+    assert text.normalize_text(raw) == ref.normalize_text(raw)
+
+
+def test_build_boost_vector_does_not_normalize(tiny_encoded, builtin_dict, monkeypatch):
+    calls = []
+    for module in (text, dictionary, tokenizer):
+        for name in ("normalize_text", "normalize_words"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda raw, real=real: calls.append(raw) or real(raw))
+    boosted = 0
+    for enc in tiny_encoded:
+        boost = build_boost_vector(enc.example, builtin_dict)
+        assert boost.tobytes() == enc.example.boost.tobytes()
+        boosted += int((boost > 1.0).any())
+    assert boosted > 0
+    assert calls == []
