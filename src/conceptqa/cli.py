@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -442,6 +443,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache  # built once per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="conceptqa",
                                      description="Concept-gated extractive QA toolkit")

@@ -77,6 +77,8 @@ class ModelConfig:
                           ("ffn_multiplier", 1), ("max_answer_len", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.lora_alpha > 0:
+            raise ValueError(f"lora_alpha must be > 0, got {self.lora_alpha}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.gate_mode not in (GATE_SHARED, GATE_OFF):
@@ -98,8 +100,9 @@ def read_config(default, values, kind: str, section: str = "", fixed: tuple[str,
 
     Each value must have the exact type of its default; an int stands for a
     float and a list for a tuple.  A non-object, a key that is not a field or
-    is one of the ``fixed`` fields, or a wrong type raises ValueError naming
-    ``{kind} '{section}.{key}'``, e.g. "setting 'model.hidden' must be int".
+    is one of the ``fixed`` fields, a wrong type or a NaN or infinite float
+    raises ValueError naming ``{kind} '{section}.{key}'``, e.g. "setting
+    'model.hidden' must be int" or "setting 'model.lora_alpha' must be finite".
     """
     where = f"{kind} {section}" if section else kind
     if type(values) is not dict:
@@ -116,6 +119,9 @@ def read_config(default, values, kind: str, section: str = "", fixed: tuple[str,
         if type(value) is not kinds[key] and (kinds[key], type(value)) != (float, int):
             name = "list" if kinds[key] is tuple else kinds[key].__name__
             raise ValueError(f"{kind} {label!r} must be {name}, got {value!r}")
+        if any(type(v) is float and not math.isfinite(v)
+               for v in (value if type(value) is tuple else (value,))):
+            raise ValueError(f"{kind} {label!r} must be finite, got {value!r}")
         read[key] = value
     try:
         return dataclasses.replace(default, **read)
@@ -190,17 +196,6 @@ def count_parameters(config: ModelConfig) -> dict:
     return {"by_group": by_group, "trainable": trainable, "frozen": by_group[GROUP_FROZEN]}
 
 
-def _is_zero_init(name: str) -> bool:
-    return (
-        name.endswith(".bias")
-        or name.endswith(".beta")
-        or name.endswith(".b1")
-        or name.endswith(".b2")
-        or name.endswith(".lora_b")
-        or name.endswith("gate.b")
-    )
-
-
 def init_params(config: ModelConfig, rng: np.random.Generator,
                 dtype=np.float32) -> dict[str, np.ndarray]:
     """Scaled-normal init (gain 0.02); zeros for biases and LoRA B; ones for LN gains."""
@@ -208,7 +203,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
     for name, shape in parameter_shapes(config).items():
         if name.endswith(".gamma"):
             params[name] = np.ones(shape, dtype=dtype)
-        elif _is_zero_init(name):
+        elif name.endswith((".bias", ".beta", ".b1", ".b2", ".lora_b", "gate.b")):
             params[name] = np.zeros(shape, dtype=dtype)
         else:
             params[name] = (rng.standard_normal(shape) * INIT_SCALE).astype(dtype)
@@ -274,12 +269,6 @@ def _gelu_fwd(u):
 def _gelu_bwd(dy, cache):
     u, phi = cache
     return dy * (phi + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI)
-
-
-def _softmax(s):
-    z = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _rel_runs(seq_len: int, max_dist: int) -> np.ndarray:
@@ -431,22 +420,11 @@ def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
     dh_v, dav, dbbv = _lin_bwd(_merge_heads(dvh), wv, av, bbv, scale, cache["cv"])
 
     pre = f"layer{layer}.attn."
-    _acc(grads, pre + "q.lora_a", daq)
-    _acc(grads, pre + "q.lora_b", dbbq)
-    _acc(grads, pre + "k.lora_a", dak)
-    _acc(grads, pre + "k.lora_b", dbbk)
-    _acc(grads, pre + "v.lora_a", dav)
-    _acc(grads, pre + "v.lora_b", dbbv)
-    _acc(grads, pre + "o.lora_a", dao)
-    _acc(grads, pre + "o.lora_b", dbbo)
+    grads.update({pre + "q.lora_a": daq, pre + "q.lora_b": dbbq,
+                  pre + "k.lora_a": dak, pre + "k.lora_b": dbbk,
+                  pre + "v.lora_a": dav, pre + "v.lora_b": dbbv,
+                  pre + "o.lora_a": dao, pre + "o.lora_b": dbbo})
     return dh_q[:seq_len] + dh_k[:seq_len] + dh_v
-
-
-def _acc(grads: dict, name: str, value: np.ndarray) -> None:
-    if name in grads:
-        grads[name] = grads[name] + value
-    else:
-        grads[name] = value
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +547,16 @@ def encoder_backward(model: EncoderModel, dh: np.ndarray, caches: dict) -> dict[
     for layer in reversed(range(cfg.layers)):
         c = caches["layers"][layer]
         dsum2 = _layernorm_bwd(dh, c["ln2"])
-        dgated = dsum2.copy()
         dact = dsum2 @ params[f"layer{layer}.ffn.w2"].T
         du = _gelu_bwd(dact, c["gelu"])
-        dgated += du @ params[f"layer{layer}.ffn.w1"].T
+        dgated = dsum2 + du @ params[f"layer{layer}.ffn.w1"].T
         if gate is not None:
             ggrads = gating.gate_backward(dgated, c["gate"], gate)
-            _acc(grads, "gate.w", ggrads.dw)
-            _acc(grads, "gate.b", ggrads.db)
+            if "gate.w" in grads:  # the shared gate's gradient sums over layers
+                grads["gate.w"] += ggrads.dw
+                grads["gate.b"] += ggrads.db
+            else:
+                grads["gate.w"], grads["gate.b"] = ggrads.dw, ggrads.db
             dh1 = ggrads.dx
         else:
             dh1 = dgated
@@ -607,28 +587,32 @@ def qa_forward(model: EncoderModel, example: TokenizedExample):
     return start, end, hidden
 
 
-def _log_softmax(z):
-    z = z - z.max()
-    return z - np.log(np.exp(z).sum())
+def _head_loss(logits: np.ndarray, gold: int):
+    """A span head's cross-entropy at index ``gold`` and its logits' gradient,
+    softmax minus one-hot, from one shifted exp."""
+    z = logits - logits.max()
+    e = np.exp(z)
+    total = e.sum()
+    grad = e / total
+    grad[gold] -= 1.0
+    return np.log(total) - z[gold], grad
+
+
+def _span_loss_and_grads(start_logits, end_logits, gold: tuple[int, int]):
+    """``span_loss`` and the gradients of the start and end logits."""
+    ys, ye = gold
+    n = len(start_logits)
+    if not (0 <= ys < n and 0 <= ye < n and ys <= ye):
+        raise ValueError(f"invalid gold span {gold} for length {n}")
+    loss_start, dstart = _head_loss(start_logits, ys)
+    loss_end, dend = _head_loss(end_logits, ye)
+    return float(loss_start + loss_end), dstart, dend
 
 
 def span_loss(start_logits: np.ndarray, end_logits: np.ndarray,
               gold: tuple[int, int]) -> float:
     """Summed cross-entropies of the start and end positions."""
-    ys, ye = gold
-    n = len(start_logits)
-    if not (0 <= ys < n and 0 <= ye < n and ys <= ye):
-        raise ValueError(f"invalid gold span {gold} for length {n}")
-    return float(-_log_softmax(start_logits)[ys] - _log_softmax(end_logits)[ye])
-
-
-def _span_loss_grads(start_logits, end_logits, gold):
-    ys, ye = gold
-    dstart = _softmax(start_logits[None, :])[0]
-    dstart[ys] -= 1.0
-    dend = _softmax(end_logits[None, :])[0]
-    dend[ye] -= 1.0
-    return dstart, dend
+    return _span_loss_and_grads(start_logits, end_logits, gold)[0]
 
 
 def qa_loss_and_grads(
@@ -642,8 +626,7 @@ def qa_loss_and_grads(
     hidden, caches = encoder_forward(model, example.token_ids, example.boost,
                                      return_caches=True)
     start, end = span_logits(model, hidden)
-    loss = span_loss(start, end, example.gold_span)
-    dstart, dend = _span_loss_grads(start, end, example.gold_span)
+    loss, dstart, dend = _span_loss_and_grads(start, end, example.gold_span)
 
     p = model.params
     grads: dict[str, np.ndarray] = {

@@ -182,7 +182,13 @@ class SynonymTable:
     table: dict[str, list[str]]
 
     def __post_init__(self):
-        self.table = {normalize_text(k): list(v) for k, v in self.table.items()}
+        keys: dict[str, str] = {}  # normalized -> given
+        for key in self.table:
+            norm = normalize_text(key)
+            if keys.setdefault(norm, key) != key:
+                raise ValueError(f"synonym keys {keys[norm]!r} and {key!r} "
+                                 f"both normalize to {norm!r}")
+        self.table = {norm: list(self.table[key]) for norm, key in keys.items()}
 
     def validate_against(self, dictionary: ConceptDictionary) -> None:
         """ValueError naming the first key or alternative whose normalized words
@@ -293,18 +299,20 @@ def _train_step(model: EncoderModel, step: int, lr: float, batch: list, cfg: Tra
     The first overflow or invalid value anywhere in the step raises
     FloatingPointError naming the step, not a numpy warning.
     """
-    acc: dict[str, np.ndarray] = {}
     losses = []
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for enc in batch:
+            for i, enc in enumerate(batch):
                 loss, grads = model_mod.qa_loss_and_grads(model, enc.example,
                                                           trainable_groups=trainable)
                 losses.append(loss)
-                for k, g in grads.items():
-                    acc[k] = acc[k] + g if k in acc else g
-            for k in acc:
-                acc[k] = acc[k] / len(batch)
+                if i == 0:  # the first example's gradients hold the batch sum, in order
+                    acc = grads
+                else:
+                    for k, g in acc.items():
+                        g += grads[k]
+            for g in acc.values():
+                g /= len(batch)
             optimizer_step(model.params, acc, opt_state, cfg, lr=lr)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} at step {step}") from exc

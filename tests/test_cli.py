@@ -120,6 +120,19 @@ class TestDataCommands:
             sizes[name] = len(payload["records"])
         assert sizes == {"train": 32, "val": 4, "test": 4}
 
+    def test_second_call_keeps_nothing_of_the_first(self, workdir, tmp_path):
+        # the parser is built once per process; each call parses afresh
+        from conceptqa import cli
+        assert cli.build_parser() is cli.build_parser()
+        for name, overrides in (("a", ["split.seed=5", "split.ratios=[0.6,0.2,0.2]"]),
+                                ("b", ["split.seed=7"])):
+            argv = ["data", "split", "--in", str(workdir / "flat.json"),
+                    "--out-dir", str(tmp_path / name)]
+            assert main([*argv, *(x for o in overrides for x in ("--set", o))]) == 0
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["settings"] == {"ratios": [0.8, 0.1, 0.1], "seed": 7}
+        assert manifest["seed"] == 7
+
     def test_synth_writes_squad(self, tmp_path):
         out = tmp_path / "synth.json"
         assert main(["data", "synth", "--out", str(out), "--n", "12",
@@ -651,6 +664,8 @@ class TestExitCodes:
         ('{"model": {"hiden": 8}}', "unknown setting key 'model.hiden'"),
         ('{"train": {"learning_rate": "fast"}}',
          "setting 'train.learning_rate' must be float, got 'fast'"),
+        ('{"train": {"learning_rate": Infinity}}',
+         "setting 'train.learning_rate' must be finite, got inf"),
     ])
     def test_bad_config_file_is_one(self, workdir, tmp_path, capsys, raw, message):
         path = tmp_path / "config.json"
@@ -821,6 +836,37 @@ class TestExitCodes:
         assert rc == 1
         assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "augmented.json").exists()
+
+    def test_synonym_keys_that_normalize_alike_are_one(self, workdir, tmp_path, capsys):
+        path = tmp_path / "synonyms.json"
+        path.write_text('{"Gathering": ["assembly"], "gathering": ["meeting"]}',
+                        encoding="utf-8")
+        rc = main(["data", "augment", "--in", str(workdir / "flat.json"),
+                   "--out", str(tmp_path / "augmented.json"), "--synonyms", str(path),
+                   "--dict", str(workdir / "icd.json")])
+        assert rc == 1
+        assert (f"error: {path}: synonym keys 'Gathering' and 'gathering' both normalize "
+                "to 'gathering'") in capsys.readouterr().err
+        assert not (tmp_path / "augmented.json").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("model.lora_alpha=NaN", "setting 'model.lora_alpha' must be finite, got nan"),
+        ("model.lora_alpha=Infinity", "setting 'model.lora_alpha' must be finite, got inf"),
+        ("model.lora_alpha=-16", "setting model: lora_alpha must be > 0, got -16"),
+        ("train.weight_decay=Infinity",
+         "setting 'train.weight_decay' must be finite, got inf"),
+        ("train.eps=Infinity", "setting 'train.eps' must be finite, got inf"),
+    ])
+    def test_non_finite_or_negative_setting_is_one(self, workdir, tmp_path, capsys,
+                                                   override, message):
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"), "--out-dir", str(out_dir),
+                   "--config", str(workdir / "config.json"), "--set", override])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.bin").exists()
 
     def test_divergence_before_validation_says_so(self, workdir, tmp_path, capsys,
                                                   monkeypatch):

@@ -388,6 +388,36 @@ class TestSpanLoss:
         with pytest.raises(ValueError, match="invalid gold span"):
             span_loss(np.zeros(5), np.zeros(5), (3, 1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 400),
+           scale=st.sampled_from([1e-3, 1.0, 40.0]), seed=st.integers(0, 2**32 - 1),
+           at=st.sampled_from(["first", "last", "any"]))
+    def test_head_loss_is_bitwise_the_two_pass_softmax(self, dtype, n, scale, seed, at):
+        # the two-pass reference: a log-softmax for the loss, a softmax for the gradient
+        def log_softmax(z):
+            z = z - z.max()
+            return z - np.log(np.exp(z).sum())
+
+        def softmax(s):
+            z = s - s.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            return e / e.sum(axis=-1, keepdims=True)
+
+        rng = np.random.default_rng(seed)
+        start, end = (rng.standard_normal(n) * scale).astype(dtype), \
+            (rng.standard_normal(n) * scale).astype(dtype)
+        pick = {"first": lambda: 0, "last": lambda: n - 1, "any": lambda: int(rng.integers(n))}
+        ys, ye = sorted((pick[at](), pick[at]()))
+        loss_start, dstart = M._head_loss(start, ys)
+        loss_end, dend = M._head_loss(end, ye)
+        assert span_loss(start, end, (ys, ye)) == float(loss_start + loss_end) \
+            == float(-log_softmax(start)[ys] - log_softmax(end)[ye])
+        for logits, y, grad in ((start, ys, dstart), (end, ye, dend)):
+            expected = softmax(logits[None, :])[0]
+            expected[y] -= 1.0
+            assert grad.dtype == dtype
+            assert grad.tobytes() == expected.tobytes()
+
 
 class TestPredictSpan:
     def test_single_context_token_forced(self):
@@ -762,6 +792,21 @@ class TestCheckpoint:
                                              "holds a non-finite value$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_setting_in_the_header(self, tmp_path, value):
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
+        path = tmp_path / "model.bin"
+        save_checkpoint(build_model(cfg, seed=5), path)
+        raw = path.read_bytes()
+        hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+        header = json.loads(raw[16:16 + hlen])
+        header["config"]["lora_alpha"] = value
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + hlen:])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: config "
+                                             "'lora_alpha' must be finite, got "):
+            load_checkpoint(path)
+
     def test_header_holds_the_config_seed_and_dictionary_version_only(self, tmp_path):
         cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
         path = tmp_path / "model.bin"
@@ -844,3 +889,6 @@ class TestCheckpoint:
                              ("ffn_multiplier", 0), ("max_answer_len", 0)):
             with pytest.raises(ValueError, match=f"^{field} must be >= "):
                 ModelConfig(**{field: value})
+        for value in (0.0, -16.0, math.nan):
+            with pytest.raises(ValueError, match="^lora_alpha must be > 0, got "):
+                ModelConfig(lora_alpha=value)

@@ -192,6 +192,11 @@ class TestAugmentSynonym:
             else:
                 assert all(type(alt) is str for alts in table.table.values() for alt in alts)
 
+    def test_keys_that_normalize_alike_are_rejected(self):
+        with pytest.raises(ValueError, match="^synonym keys 'Gathering' and 'gathering' "
+                                             "both normalize to 'gathering'$"):
+            SynonymTable({"Gathering": ["assembly"], "gathering": ["meeting"]})
+
     def test_rate_validated(self, builtin_dict):
         with pytest.raises(ValueError, match="rate"):
             augment_synonym(self.RECORD, SynonymTable({}), builtin_dict, 1.5, 0)
@@ -294,6 +299,30 @@ class TestTrainTwoStage:
         with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
             StageConfig("adaptation", -3, False, ("lora",))
         assert StageConfig("adaptation", 0, False, ("lora",)).epochs == 0
+
+    def test_step_averages_the_batch_gradients_in_order(self, training_setup, monkeypatch):
+        # the batch mean is ((g1 + g2) + g3) / 3 per tensor, bit for bit
+        from conceptqa import training
+        train, _, vocab = training_setup
+        model = self._model(vocab)
+        batch = train[:3]
+        per_example = [model_mod.qa_loss_and_grads(model, enc.example) for enc in batch]
+        expected = {}
+        for k in per_example[0][1]:
+            total = per_example[0][1][k]
+            for _, grads in per_example[1:]:
+                total = total + grads[k]
+            expected[k] = total / len(batch)
+        seen = {}
+        monkeypatch.setattr(training, "optimizer_step",
+                            lambda params, grads, *args, **kwargs: seen.update(grads))
+        losses = training._train_step(model, 1, 1e-3, batch, TrainConfig(),
+                                      init_optimizer_state({}), model_mod.ADAPTABLE_GROUPS)
+        assert losses == [loss for loss, _ in per_example]
+        assert seen.keys() == expected.keys()
+        for k, value in expected.items():
+            assert seen[k].dtype == value.dtype
+            assert seen[k].tobytes() == value.tobytes(), k
 
     def test_simple_loop_overflow_names_the_step(self, training_setup):
         train, _, vocab = training_setup
