@@ -35,8 +35,10 @@ from .dictionary import (
 from .text import read_json_object
 from .tokenizer import load_vocab, save_vocab, train_vocab
 
+# the vocabulary gives model.vocab_size, so no setting does
 DEFAULT_CONFIG = {
-    "model": dataclasses.asdict(model_mod.ModelConfig()),
+    "model": {key: value for key, value in dataclasses.asdict(model_mod.ModelConfig()).items()
+              if key != "vocab_size"},
     "train": dataclasses.asdict(training.TrainConfig()),
     "stages": [{"stage": s.stage, "epochs": s.epochs} for s in training.default_stages()],
     "split": dataclasses.asdict(data_mod.SplitConfig()),
@@ -82,15 +84,13 @@ class _Settings:
 
 
 def _settings(args, vocab_size: int) -> _Settings:
-    """``--config`` and ``--set`` read into each section; the vocabulary fixes
-    ``model.vocab_size``, and each stage entry goes over the defaults of its
-    ``stage``, which fixes ``boost_enabled``."""
+    """``--config`` and ``--set`` read into each section.  The model section
+    goes over ``vocab_size``, which it cannot set, and each stage entry goes
+    over the defaults of its ``stage``, which fixes ``boost_enabled``."""
     cfg = _load_config(args.config, args.set)
     split = model_mod.read_config(data_mod.SplitConfig(), cfg["split"], "setting", "split")
-    model = cfg["model"]
-    if isinstance(model, dict):
-        model = {**model, "vocab_size": vocab_size}
-    model = model_mod.read_config(model_mod.ModelConfig(), model, "setting", "model")
+    model = model_mod.read_config(model_mod.ModelConfig(vocab_size=vocab_size), cfg["model"],
+                                  "setting", "model", fixed=("vocab_size",))
     train = model_mod.read_config(training.TrainConfig(), cfg["train"], "setting", "train")
     defaults = {s.stage: s for s in training.default_stages()}
     if not isinstance(cfg["stages"], list):
@@ -280,14 +280,13 @@ def cmd_data_synth(args) -> int:
         args.n, seed=args.seed, n_slots=args.slots,
         target_context_words=args.context_words,
         target_question_words=args.question_words,
-        question_style=args.style,
     )
     synthetic.write_squad(fixture, args.out)
     stats = fixture.stats()
     print(f"wrote {len(fixture)} synthetic QA pairs -> {args.out}")
     print(f"mean context {stats['mean_context_words']:.1f} words, "
           f"mean question {stats['mean_question_words']:.1f} words")
-    _write_manifest(args, {"n": args.n, "slots": args.slots, "style": args.style,
+    _write_manifest(args, {"n": args.n, "slots": args.slots,
                            "context_words": args.context_words,
                            "question_words": args.question_words},
                     [args.out], seed=args.seed)
@@ -363,9 +362,11 @@ def cmd_ablate(args) -> int:
     dataset = data_mod.load_dataset(args.data)
     settings = _settings(args, len(vocab))
     split = settings.split
-    enc_train, enc_val, enc_test = (
-        data_mod.encode_dataset(recs, vocab, dictionary, settings.model.max_len)[0]
-        for recs in data_mod.split_dataset(dataset, split.ratios, split.seed))
+    train, val, test = data_mod.split_dataset(dataset, split.ratios, split.seed)
+    if args.train_first:
+        enc_train, enc_val = (
+            data_mod.encode_dataset(recs, vocab, dictionary, settings.model.max_len)[0]
+            for recs in (train, val))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -385,6 +386,8 @@ def cmd_ablate(args) -> int:
             loaded.append(str(path))
             seeds[variant] = model.seed
         configs[variant] = dataclasses.asdict(model.config)
+        # the test split at the model's own max_len, as ``eval`` encodes it
+        enc_test, _ = data_mod.encode_dataset(test, vocab, dictionary, model.config.max_len)
         report = evaluation.evaluate(model, enc_test, ablation=variant, vocab=vocab,
                                      dictionary=dictionary)
         reports.append(report)
@@ -508,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, default=3)
     p.add_argument("--context-words", type=float, default=None)
     p.add_argument("--question-words", type=float, default=None)
-    p.add_argument("--style", choices=["generic", "cued"], default="generic")
     p.set_defaults(func=cmd_data_synth)
 
     vocab = sub.add_parser("vocab", help="vocabulary tools").add_subparsers(

@@ -190,6 +190,8 @@ class SplitConfig:
         if len(self.ratios) != 3 or not all(type(r) in (int, float) and r >= 0
                                             for r in self.ratios):
             raise ValueError(f"ratios must be 3 numbers >= 0, got {list(self.ratios)}")
+        if abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise ValueError(f"ratios {list(self.ratios)} do not sum to 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -204,8 +206,7 @@ def split_dataset(
     Validation and test get the floor of their shares; the remainder goes to
     train (100 records at 0.8/0.1/0.1 split 80/10/10).
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios {ratios} do not sum to 1")
+    SplitConfig(ratios, seed)  # the checks of the split settings
     n = len(data.records)
     if n < 3:
         raise ValueError("need at least 3 records to split")

@@ -18,6 +18,7 @@ import numpy as np
 from .text import normalize_words
 
 ARTICLES = {"a", "an", "the"}
+BLEU_N = 4
 BLEU_EPS = 1e-9
 
 Embedder = Callable[[Sequence[str]], np.ndarray]
@@ -55,9 +56,9 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(pred: str, gold: str, max_n: int = 4) -> float:
-    """Sentence BLEU: brevity penalty times the geometric mean of the
-    clipped n-gram precisions p_1..p_max_n (uniform weights).
+def bleu(pred: str, gold: str) -> float:
+    """Sentence BLEU-4: brevity penalty times the geometric mean of the
+    clipped n-gram precisions p_1..p_4 (uniform weights).
 
     A zero precision enters the geometric mean as BLEU_EPS instead, so short
     or partially matching predictions score small but nonzero.
@@ -67,20 +68,18 @@ def bleu(pred: str, gold: str, max_n: int = 4) -> float:
     if not p_toks:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_N + 1):
         pred_ngrams = _ngrams(p_toks, n)
         total = sum(pred_ngrams.values())
         clipped = sum((pred_ngrams & _ngrams(g_toks, n)).values()) if total else 0
         p_n = clipped / total if total else 0.0
         log_sum += math.log(p_n if p_n > 0.0 else BLEU_EPS)
     bp = min(1.0, math.exp(1.0 - len(g_toks) / len(p_toks)))
-    return bp * math.exp(log_sum / max_n)
+    return bp * math.exp(log_sum / BLEU_N)
 
 
-def rouge_l(pred: str, gold: str, beta: float = 1.0) -> float:
-    """LCS F-measure (1 + b^2) R P / (R + b^2 P) over normalized tokens."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+def rouge_l(pred: str, gold: str) -> float:
+    """LCS F-measure 2 R P / (R + P) over normalized tokens."""
     p_toks = normalize_answer(pred)
     g_toks = normalize_answer(gold)
     if not p_toks or not g_toks:
@@ -90,8 +89,7 @@ def rouge_l(pred: str, gold: str, beta: float = 1.0) -> float:
         return 0.0
     recall = lcs / len(g_toks)
     precision = lcs / len(p_toks)
-    b2 = beta * beta
-    return (1.0 + b2) * recall * precision / (recall + b2 * precision)
+    return 2.0 * recall * precision / (recall + precision)
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:

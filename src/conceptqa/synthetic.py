@@ -72,13 +72,12 @@ def generate_records(
     n_slots: int = 3,
     target_context_words: float | None = None,
     target_question_words: float | None = None,
-    question_style: str = "generic",
 ) -> DatasetFile:
     """Build ``n`` planted-concept QA records.
 
     With no length targets, contexts stay minimal (the slot sentences plus
-    one pad).  ``question_style`` is "generic" (no lexical pointer to the
-    right slot) or "cued" (the concept agent is named in the question).
+    one pad).  Every question is ``GENERIC_QUESTION``, which names no agent,
+    so it gives no lexical pointer to the right slot.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -132,10 +131,7 @@ def generate_records(
         )
         assert context[answer_start:answer_start + len(answer_text)] == answer_text
 
-        if question_style == "cued":
-            question = f"what did {concept} speak of"
-        else:
-            question = GENERIC_QUESTION
+        question = GENERIC_QUESTION
         if target_question_words is not None:
             want = max(float(rng.normal(target_question_words, 1.5)), len(question.split()))
             pads = []

@@ -38,13 +38,12 @@ DEFAULT_MAX_LEN = 384
 @dataclass
 class Vocab:
     pieces: list[str]
-    piece_to_id: dict[str, int] = field(default_factory=dict)
+    piece_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         if type(self.pieces) is not list or not all(type(p) is str for p in self.pieces):
             raise ValueError("'pieces' must be an array of strings")
-        if not self.piece_to_id:
-            self.piece_to_id = {p: i for i, p in enumerate(self.pieces)}
+        self.piece_to_id = {p: i for i, p in enumerate(self.pieces)}
         if len(self.piece_to_id) != len(self.pieces):
             raise ValueError("duplicate pieces in vocabulary")
         for s in SPECIALS:

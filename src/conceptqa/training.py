@@ -142,7 +142,8 @@ def optimizer_step(
 ) -> tuple[dict[str, np.ndarray], dict]:
     """One decoupled-weight-decay adaptive-moment update, in place.
 
-    Moments are kept per parameter name; parameters without a gradient this
+    Moments are kept per parameter name, made at zero with the name's first
+    gradient (``m`` and ``v`` together); parameters without a gradient this
     step are left untouched (no decay either).  A non-finite gradient aborts
     the step before any parameter moves.
     """
@@ -159,8 +160,9 @@ def optimizer_step(
     for name, g in grads.items():
         p = params[name]
         g = g.astype(p.dtype, copy=False)
-        m = state["m"].setdefault(name, np.zeros_like(p))
-        v = state["v"].setdefault(name, np.zeros_like(p))
+        if name not in state["m"]:
+            state["m"][name], state["v"][name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state["m"][name], state["v"][name]
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2

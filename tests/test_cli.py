@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -496,6 +497,34 @@ class TestTrainEvalPredict:
         reports = json.loads((out_dir / "ablation.json").read_text())
         assert [r["variant"] for r in reports] == list(ABLATION_VARIANTS)
 
+    def test_ablate_checkpoints_scores_as_eval_does(self, workdir, tmp_path):
+        # a checkpoint of max_len 48 is shorter than some test sequences, and
+        # the settings ablate runs with keep the default max_len: ablate
+        # encodes the test split at each checkpoint's own max_len, as eval does
+        from conceptqa.evaluation import ABLATION_VARIANTS
+        common = ["--vocab", str(workdir / "vocab.json"), "--dict", str(workdir / "icd.json")]
+        settings = ["--config", str(workdir / "config.json")]
+        assert main(["train", "--data", str(workdir / "flat.json"), *common, *settings,
+                     "--set", "model.max_len=48", "--out-dir", str(tmp_path / "run")]) == 0
+        ckpt_dir = tmp_path / "variants"
+        ckpt_dir.mkdir()
+        for variant in ABLATION_VARIANTS:
+            shutil.copy(tmp_path / "run" / "checkpoint.bin",
+                        ckpt_dir / f"checkpoint-{variant}.bin")
+        assert main(["ablate", "--data", str(workdir / "flat.json"), *common, *settings,
+                     "--out-dir", str(tmp_path / "abl"), "--checkpoints", str(ckpt_dir)]) == 0
+        assert main(["data", "split", "--in", str(workdir / "flat.json"), *settings,
+                     "--out-dir", str(tmp_path / "splits")]) == 0
+        ablated = json.loads((tmp_path / "abl" / "ablation.json").read_text())
+        for variant, report in zip(ABLATION_VARIANTS, ablated):
+            out_dir = tmp_path / f"eval-{variant}"
+            assert main(["eval", "--checkpoint", str(ckpt_dir / f"checkpoint-{variant}.bin"),
+                         "--data", str(tmp_path / "splits" / "test.json"), *common,
+                         "--ablation", variant, "--out-dir", str(out_dir)]) == 0
+            evaluated = json.loads((out_dir / "report.json").read_text())
+            assert report["variant"] == variant
+            assert (report["em"], report["f1"]) == (evaluated["em"], evaluated["f1"])
+
     def test_ablate_train_first(self, workdir, capsys):
         out_dir = workdir / "ablation_trained"
         rc = main(["ablate", "--data", str(workdir / "flat.json"),
@@ -595,6 +624,7 @@ class TestExitCodes:
         ("train=3", "setting train must be an object, got 3"),
         ("modle.hidden=8", "override 'modle.hidden': unknown settings section 'modle'"),
         ("model.gate_mode=per_layer", "setting model: unknown gate_mode 'per_layer'"),
+        ("model.vocab_size=7", "error: unknown setting key 'model.vocab_size'"),
     ])
     def test_bad_override_is_one(self, workdir, tmp_path, capsys, override, key):
         rc = main(["train", "--data", str(workdir / "flat.json"),
@@ -603,6 +633,7 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path / "run"), "--set", override])
         assert rc == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("raw, message", [
         ("3", "expected a JSON object, got integer"),
@@ -666,6 +697,7 @@ class TestExitCodes:
          "setting 'train.learning_rate' must be float, got 'fast'"),
         ('{"train": {"learning_rate": Infinity}}',
          "setting 'train.learning_rate' must be finite, got inf"),
+        ('{"model": {"vocab_size": 7}}', "unknown setting key 'model.vocab_size'"),
     ])
     def test_bad_config_file_is_one(self, workdir, tmp_path, capsys, raw, message):
         path = tmp_path / "config.json"

@@ -69,6 +69,18 @@ class TestIngest:
         # nothing dropped silently
         assert len(dataset.records) + len(dataset.rejected) == 3
 
+    def test_question_without_answers_rejected(self, tmp_path):
+        payload = squad_payload()
+        qas = payload["data"][0]["paragraphs"][0]["qas"]
+        qas[0]["answers"] = []
+        del qas[1]["answers"]
+        path = tmp_path / "squad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        dataset = ingest_squad(path)
+        assert [r.id for r in dataset.records] == ["q3"]
+        assert dataset.rejected == [{"id": "q1", "reason": "no answers"},
+                                    {"id": "q2", "reason": "no answers"}]
+
     def test_malformed_json_fatal(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -335,9 +347,3 @@ class TestSyntheticFixture:
         dataset = ingest_squad(path)
         assert len(dataset) == 20
         assert not dataset.rejected
-
-    def test_cued_question_names_the_concept(self):
-        fixture = synthetic.generate_records(20, seed=8, question_style="cued")
-        concepts = set(synthetic.CONCEPT_AGENTS)
-        for r in fixture.records:
-            assert any(w in concepts for w in r.question.split())

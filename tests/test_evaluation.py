@@ -1,9 +1,10 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conceptqa.dictionary import empty_dictionary
+from conceptqa.dictionary import ConceptDictionary, ConceptEntry, boost_factor, empty_dictionary
 from conceptqa.evaluation import (
     ABLATION_VARIANTS,
     FULL,
@@ -98,6 +99,25 @@ class TestEvaluate:
         report = evaluate(model, encoded, vocab=vocab, dictionary=dictionary)
         # synthetic gold answers contain no dictionary terms
         assert report.concept_em is None
+
+    def test_concept_em_is_the_em_of_the_flagged_examples(self, memorized):
+        model, encoded, vocab, _ = memorized
+        # examples 0-3 get a gold answer that is no word of their context, so
+        # EM differs between examples; the dictionary flags 2, 3 and 4 only
+        data = [dataclasses.replace(e, gold_texts=[f"absent{i}"]) if i < 4 else e
+                for i, e in enumerate(encoded)]
+        flagged = {2, 3, 4}
+        terms = {metrics.normalize_answer(data[i].gold_texts[0])[0] for i in flagged}
+        dictionary = ConceptDictionary(
+            {t: ConceptEntry(t, 0.5, boost_factor(0.5)) for t in terms}, version="t")
+        assert not any(w in dictionary.entries for i, e in enumerate(data) if i not in flagged
+                       for w in metrics.normalize_answer(e.gold_texts[0]))
+        report = evaluate(model, data, vocab=vocab, dictionary=dictionary)
+        ems = [metrics.best_em_f1(p["pred_text"], e.gold_texts)[0]
+               for p, e in zip(report.predictions, data)]
+        assert sorted(set(ems[i] for i in flagged)) == [0.0, 1.0]
+        assert report.concept_em == 100.0 * float(np.mean([ems[i] for i in sorted(flagged)]))
+        assert report.concept_em != report.em
 
     def test_empty_dataset_error(self, memorized):
         model, _, vocab, dictionary = memorized

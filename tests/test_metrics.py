@@ -161,17 +161,16 @@ class TestRougeL:
     def test_no_overlap_is_zero(self):
         assert rouge_l("mercy", "patience") == 0.0
 
-    def test_beta_weighting(self):
-        # recall-heavy beta favors covering the reference
-        pred, gold = "patience mercy truth", "patience mercy"
-        r, p = 1.0, 2 / 3
-        for beta in (0.5, 1.0, 2.0):
-            expected = (1 + beta**2) * r * p / (r + beta**2 * p)
-            assert rouge_l(pred, gold, beta=beta) == pytest.approx(expected)
-
-    def test_beta_validated(self):
-        with pytest.raises(ValueError, match="beta"):
-            rouge_l("x", "x", beta=0.0)
+    @given(st.lists(st.sampled_from(WORDS[:4]), min_size=1, max_size=8),
+           st.lists(st.sampled_from(WORDS[:4]), min_size=1, max_size=8))
+    def test_f_measure_is_bitwise_the_weighted_form_at_beta_one(self, pred, gold):
+        # (1 + b²) R P / (R + b² P) at b = 1 rounds exactly like 2 R P / (R + P)
+        lcs = lcs_brute_force(pred, gold)
+        expected = 0.0
+        if lcs:
+            r, p, b2 = lcs / len(gold), lcs / len(pred), 1.0 * 1.0
+            expected = (1.0 + b2) * r * p / (r + b2 * p)
+        assert rouge_l(" ".join(pred), " ".join(gold)) == expected
 
     def test_dp_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(23)
@@ -223,6 +222,14 @@ class TestEmbedScore:
                         if precision + recall else 0.0)
             got = embed_score([(pred, gold)], emb)
             assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_empty_sides_are_scored_without_the_embedder(self):
+        def unused(tokens):
+            raise AssertionError(f"embedded {tokens}")
+        # "the" and "." normalize to no words
+        assert embed_score([("the", ".")], unused) == 1.0
+        assert embed_score([("the", "mercy")], unused) == 0.0
+        assert embed_score([("mercy", "")], unused) == 0.0
 
     def test_dimension_mismatch(self):
         def ragged(tokens):

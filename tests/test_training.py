@@ -103,6 +103,24 @@ class TestOptimizerStep:
             optimizer_step(params, {"w": np.array([1.0, np.nan])}, state, cfg)
         np.testing.assert_array_equal(params["w"], before)
 
+    def test_moments_are_made_once_per_tensor(self, monkeypatch):
+        # a tensor's moments start at zero with its first gradient and are
+        # then updated in place; no step makes a zero array it drops
+        rng = np.random.default_rng(1)
+        params = {"a": rng.standard_normal(3), "b": rng.standard_normal((2, 2))}
+        grads = [{k: rng.standard_normal(v.shape) for k, v in params.items()}
+                 for _ in range(3)]
+        made = []
+        zeros_like = np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda a: made.append(a.shape) or zeros_like(a))
+        state = init_optimizer_state({})
+        optimizer_step(params, grads[0], state, TrainConfig())
+        first = {k: (state["m"][k], state["v"][k]) for k in params}
+        for g in grads[1:]:
+            optimizer_step(params, g, state, TrainConfig())
+        assert made == [(3,), (3,), (2, 2), (2, 2)]
+        assert all(state["m"][k] is m and state["v"][k] is v for k, (m, v) in first.items())
+
     def test_unknown_param(self):
         with pytest.raises(KeyError):
             optimizer_step({"w": np.ones(1)}, {"q": np.ones(1)},
