@@ -64,14 +64,27 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         if parts[0] not in cfg:
             raise ValueError(f"override {dotted!r}: unknown settings section {parts[0]!r}")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
+            key = _override_key(node, part, dotted)
+            node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+            if not isinstance(node, (dict, list)):
                 raise ValueError(f"override {dotted!r}: {part!r} is not a settings section")
+        key = _override_key(node, parts[-1], dotted)
         try:
-            node[parts[-1]] = json.loads(raw)
+            node[key] = json.loads(raw)
         except json.JSONDecodeError:
-            node[parts[-1]] = raw
+            node[key] = raw
     return cfg
+
+
+def _override_key(node: dict | list, part: str, dotted: str) -> str | int:
+    """The key ``part`` names in ``node``: itself in an object, and in a list
+    the index it spells, which must lie in the list."""
+    if not isinstance(node, list):
+        return part
+    if not (part.isdecimal() and int(part) < len(node)):
+        raise ValueError(f"override {dotted!r}: {part!r} is not an index into a list "
+                         f"of {len(node)} entries")
+    return int(part)
 
 
 @dataclasses.dataclass(frozen=True)

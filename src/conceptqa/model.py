@@ -306,9 +306,12 @@ def _attn_params(params, layer, proj):
         params[pre + "lora_a"], params[pre + "lora_b"]
 
 
-def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None, key_bias=None):
+def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None,
+                   key_bias=None):
     """Disentangled self-attention over h (L, d), or over a batch h (B, L, d).
 
+    ``runs`` is ``_rel_runs(L, config.max_rel_distance)``; it depends on L
+    alone, so one set serves every layer and every row of a padded batch.
     ``score_boost`` (shaped like h without d) multiplies each key's scores;
     ``key_bias`` (B, L) is added to them, -inf on a batch's padded keys.
     """
@@ -338,9 +341,7 @@ def _attention_fwd(h, params, layer, config: ModelConfig, score_boost=None, key_
     qrh, krh = _split_heads(qr, nh), _split_heads(kr, nh)
 
     # s = (c2c + c2p + p2c) / sqrt(3 dh), then the softmax, built in place; the
-    # relative terms are their bins repeated along rows (c2p) or columns (p2c).
-    # A bin depends on j - i alone, so one set of runs serves a padded batch
-    runs = _rel_runs(seq_len, config.max_rel_distance)
+    # relative terms are their bins repeated along rows (c2p) or columns (p2c)
     s = qh @ kh.swapaxes(-1, -2)                                          # (..., nh, L, L)
     a_c2p = (qh @ krh.swapaxes(-1, -2)).reshape(*s.shape[:-2], -1)        # (..., nh, L·P)
     s += np.repeat(a_c2p, runs, axis=-1).reshape(s.shape)
@@ -508,9 +509,10 @@ def encoder_forward(
     # one concept gate, shared by every layer
     gate = None if cfg.gate_mode == GATE_OFF else GateParams(params["gate.w"], params["gate.b"])
     caches = {"flags": flags, "gate": gate, "layers": []}
+    runs = _rel_runs(shape[-2], cfg.max_rel_distance)
 
     for layer in range(cfg.layers):
-        attn_out, attn_cache = _attention_fwd(h.reshape(shape), params, layer, cfg,
+        attn_out, attn_cache = _attention_fwd(h.reshape(shape), params, layer, cfg, runs,
                                               score_boost, key_bias)
         h1, ln1_cache = _layernorm_fwd(
             h + attn_out.reshape(h.shape),

@@ -13,6 +13,7 @@ source word so that a word-level boost factor can be spread over its pieces.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -127,7 +128,14 @@ def train_vocab(corpus: list[str], target_size: int) -> Vocab:
     """Greedy frequency-merge vocabulary of exactly ``target_size`` pieces.
 
     Deterministic for a fixed corpus: the most frequent adjacent piece pair is
-    merged each round, ties resolved by the lexicographically smallest pair.
+    merged each round, ties resolved by the lexicographically smallest pair
+    ``(a, b)``.  A merge that yields a piece already in the vocabulary adds
+    nothing.  Pair counts are kept incrementally (BPE, Sennrich et al., 2016):
+    a pair -> frequency-weighted count map, a pair -> words index and a heap of
+    ``(-count, pair)`` whose entries are dropped on pop once their count is
+    stale.  A merge rewrites only the words its pair's index names, each left
+    to right without overlap, and moves only the counts of the pairs those
+    words lose or gain.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -139,11 +147,18 @@ def train_vocab(corpus: list[str], target_size: int) -> Vocab:
         raise ValueError("corpus contains no words after normalization")
 
     base: set[str] = set()
-    splits: dict[str, list[str]] = {}
-    for word in word_freqs:
+    splits: list[list[str]] = []
+    freqs: list[int] = []
+    counts: dict[tuple[str, str], int] = {}
+    index: dict[tuple[str, str], set[int]] = {}
+    for w, (word, freq) in enumerate(word_freqs.items()):
         symbols = [word[0]] + [CONT + ch for ch in word[1:]]
-        splits[word] = symbols
+        splits.append(symbols)
+        freqs.append(freq)
         base.update(symbols)
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] = counts.get(pair, 0) + freq
+            index.setdefault(pair, set()).add(w)
 
     pieces = list(SPECIALS) + sorted(base)
     if target_size < len(pieces):
@@ -152,27 +167,40 @@ def train_vocab(corpus: list[str], target_size: int) -> Vocab:
             f"({len(base)} base pieces + {len(SPECIALS)} specials)"
         )
     known = set(pieces)
+    heap = [(-c, pair) for pair, c in counts.items()]
+    heapq.heapify(heap)
 
     while len(pieces) < target_size:
-        pair_counts = Counter()
-        for word, symbols in splits.items():
-            freq = word_freqs[word]
-            for a, b in zip(symbols, symbols[1:]):
-                pair_counts[(a, b)] += freq
-        if not pair_counts:
+        while heap and counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)  # stale: the pair's count has moved since
+        if not heap:
             raise ValueError(
                 f"target_size {target_size} unreachable: vocabulary saturated at {len(pieces)}"
             )
-        best_count = max(pair_counts.values())
-        a, b = min(p for p, c in pair_counts.items() if c == best_count)
+        a, b = heapq.heappop(heap)[1]
         merged = a + (b[len(CONT):] if b.startswith(CONT) else b)
-        for word, symbols in splits.items():
+        # the index may name words that have since lost the pair: they merge nothing
+        delta: dict[tuple[str, str], int] = {}
+        for w in index.pop((a, b)):
+            symbols, freq = splits[w], freqs[w]
+            for pair in zip(symbols, symbols[1:]):
+                delta[pair] = delta.get(pair, 0) - freq
             i = 0
             while i < len(symbols) - 1:
                 if symbols[i] == a and symbols[i + 1] == b:
                     symbols[i:i + 2] = [merged]
                 else:
                     i += 1
+            for pair in zip(symbols, symbols[1:]):
+                delta[pair] = delta.get(pair, 0) + freq
+                index.setdefault(pair, set()).add(w)
+        for pair, d in delta.items():
+            if d:
+                c = counts[pair] = counts.get(pair, 0) + d
+                if c:
+                    heapq.heappush(heap, (-c, pair))
+                else:
+                    del counts[pair]
         if merged not in known:
             known.add(merged)
             pieces.append(merged)

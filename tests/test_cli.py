@@ -224,6 +224,20 @@ class TestTrainEvalPredict:
                                                  ("flat.json", "vocab.json", "icd.json",
                                                   "config.json")}
 
+    def test_override_sets_one_stage_entry(self, workdir, tmp_path):
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"),
+                   "--out-dir", str(out_dir), "--config", str(workdir / "config.json"),
+                   "--set", "stages.0.epochs=3"])
+        assert rc == 0
+        stages = json.loads((out_dir / "manifest.json").read_text())["settings"]["stages"]
+        assert [(s["stage"], s["epochs"]) for s in stages] == \
+            [("adaptation", 3), ("specialization", 2)]
+        # one validation record per epoch: 3 adaptation + 2 specialization
+        assert len((out_dir / "history.csv").read_text().strip().split("\n")) == 1 + 5
+
     def test_rerun_reproduces_bit_for_bit(self, workdir, trained):
         out_dir = workdir / "run2"
         rc = main(["train", "--data", str(workdir / "flat.json"),
@@ -625,6 +639,10 @@ class TestExitCodes:
         ("modle.hidden=8", "override 'modle.hidden': unknown settings section 'modle'"),
         ("model.gate_mode=per_layer", "setting model: unknown gate_mode 'per_layer'"),
         ("model.vocab_size=7", "error: unknown setting key 'model.vocab_size'"),
+        ("stages.5.epochs=3",
+         "override 'stages.5.epochs': '5' is not an index into a list of 2 entries"),
+        ("stages.x.epochs=3",
+         "override 'stages.x.epochs': 'x' is not an index into a list of 2 entries"),
     ])
     def test_bad_override_is_one(self, workdir, tmp_path, capsys, override, key):
         rc = main(["train", "--data", str(workdir / "flat.json"),

@@ -154,11 +154,17 @@ def loop_attention(h, params, layer, cfg):
     return lin(ctx, "o", True)
 
 
+def attention_fwd(h, params, layer, cfg, score_boost=None):
+    """``_attention_fwd`` with the relative-position runs ``encoder_forward`` passes."""
+    runs = M._rel_runs(h.shape[-2], cfg.max_rel_distance)
+    return M._attention_fwd(h, params, layer, cfg, runs, score_boost)
+
+
 class TestDisentangledAttention:
     def test_rows_sum_to_one(self, small_model):
         rng = np.random.default_rng(4)
         h = rng.standard_normal((7, 16))
-        _, cache = M._attention_fwd(h, small_model.params, 0, small_model.config)
+        _, cache = attention_fwd(h, small_model.params, 0, small_model.config)
         np.testing.assert_allclose(cache["prob"].sum(axis=-1), 1.0, atol=1e-9)
 
     def test_zeroed_tables_reduce_to_content_content(self):
@@ -167,7 +173,7 @@ class TestDisentangledAttention:
         model.params["layer0.attn.rel_table"][:] = 0.0
         rng = np.random.default_rng(5)
         h = rng.standard_normal((5, 8))
-        _, cache = M._attention_fwd(h, model.params, 0, cfg)
+        _, cache = attention_fwd(h, model.params, 0, cfg)
         qh, kh = cache["qh"], cache["kh"]
         expect = np.exp((qh @ kh.transpose(0, 2, 1)) / math.sqrt(3 * cfg.head_dim))
         expect = expect / expect.sum(axis=-1, keepdims=True)
@@ -179,13 +185,13 @@ class TestDisentangledAttention:
         model = build_model(cfg, seed=6, dtype=np.float64)
         rng = np.random.default_rng(7)
         h = rng.standard_normal((3, 4))
-        out, _ = M._attention_fwd(h, model.params, 0, cfg)
+        out, _ = attention_fwd(h, model.params, 0, cfg)
         np.testing.assert_allclose(out, loop_attention(h, model.params, 0, cfg), atol=1e-12)
 
     def test_matches_loop_oracle_multi_head(self, small_model):
         rng = np.random.default_rng(8)
         h = rng.standard_normal((6, 16))
-        out, _ = M._attention_fwd(h, small_model.params, 1, small_model.config)
+        out, _ = attention_fwd(h, small_model.params, 1, small_model.config)
         np.testing.assert_allclose(
             out, loop_attention(h, small_model.params, 1, small_model.config), atol=1e-12)
 
@@ -199,7 +205,7 @@ class TestDisentangledAttention:
             lora_b = model.params[f"layer0.attn.{name}.lora_b"]
             lora_b[:] = rng.standard_normal(lora_b.shape) * 0.1
         h = rng.standard_normal((seq_len, 8))
-        out, _ = M._attention_fwd(h, model.params, 0, cfg)
+        out, _ = attention_fwd(h, model.params, 0, cfg)
         np.testing.assert_allclose(out, loop_attention(h, model.params, 0, cfg), atol=1e-12)
 
     def test_sublayer_applies_residual_norm(self):
@@ -208,7 +214,7 @@ class TestDisentangledAttention:
         model = build_model(cfg, seed=0, dtype=np.float64)
         ex = toy_example()
         h = embed(model, ex.token_ids, ex.boost > 1.0)
-        attn, _ = M._attention_fwd(h, model.params, 0, cfg)
+        attn, _ = attention_fwd(h, model.params, 0, cfg)
         manual, _ = M._layernorm_fwd(h + attn, model.params["layer0.ln1.gamma"],
                                      model.params["layer0.ln1.beta"])
         _, caches = encoder_forward(model, ex.token_ids, ex.boost, return_caches=True)
@@ -661,9 +667,9 @@ class TestAttentionBackward:
         dout = rng.standard_normal((seq_len, cfg.hidden))
 
         def loss():
-            return float(np.sum(M._attention_fwd(h, params, 0, cfg, boost)[0] * dout))
+            return float(np.sum(attention_fwd(h, params, 0, cfg, boost)[0] * dout))
 
-        _, cache = M._attention_fwd(h, params, 0, cfg, boost)
+        _, cache = attention_fwd(h, params, 0, cfg, boost)
         grads = {}
         analytic = {"h": M._attention_bwd(dout, cache, params, cfg, grads)}
         probed = {"h": h}
@@ -705,6 +711,16 @@ class TestRelativePositionCaches:
         finally:
             tracemalloc.stop()
         assert held < 32 * 2**20, f"{held / 2**20:.1f} MiB still held"
+
+    def test_runs_are_made_once_per_forward(self, small_model, monkeypatch):
+        made = []
+        rel_runs = M._rel_runs
+        monkeypatch.setattr(M, "_rel_runs", lambda *args: made.append(args) or rel_runs(*args))
+        ex = toy_example()
+        encoder_forward(small_model, ex.token_ids, ex.boost, return_caches=True)
+        encoder_forward(small_model, np.stack([ex.token_ids] * 3), np.stack([ex.boost] * 3))
+        assert small_model.config.layers == 2
+        assert made == [(len(ex), small_model.config.max_rel_distance)] * 2
 
 
 class TestFrozenBase:

@@ -1,18 +1,24 @@
-"""The slicing encoder matches the append-loop reference byte for byte.
+"""The slicing encoder and the incremental ``train_vocab`` match their
+references byte for byte.
 
 Random vocabularies (random pieces plus a random set of single letters, so
 words split into several pieces or fall back to [UNK]), random contexts and
 questions over a small alphabet, and ``max_len`` from "question too long" to
 "no truncation" drive ``encode_word``, ``encode_qa``, ``align_answer_span``
-and ``build_boost_vector`` through both implementations.
+and ``build_boost_vector`` through both implementations.  Random corpora over
+two letters drive both ``train_vocab`` implementations through repeated
+symbols, count ties and target sizes from below the minimum to past
+saturation; synthetic corpora check whole ``vocab.json`` files.
 """
 
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import tokenizer_reference as ref
+from conceptqa import synthetic
 from conceptqa.dictionary import ConceptDictionary, ConceptEntry
 from conceptqa.text import normalize_words
 from conceptqa.tokenizer import (
@@ -23,6 +29,8 @@ from conceptqa.tokenizer import (
     align_answer_span,
     build_boost_vector,
     encode_qa,
+    save_vocab,
+    train_vocab,
 )
 
 ALPHABET = "abcde"
@@ -113,3 +121,55 @@ def test_encoder_matches_reference(data):
 @given(vocab=vocabularies(), word=st.text(ALPHABET + "#x", max_size=8))
 def test_encode_word_matches_reference(vocab, word):
     assert vocab.encode_word(word) == ref.encode_word(vocab, word)
+
+
+def trained_pieces(train, corpus, target_size):
+    """``train(corpus, target_size).pieces``, or the ValueError's type and message."""
+    return outcome(lambda: train(corpus, target_size).pieces)
+
+
+def case(result) -> str:
+    """The kind of outcome, counted by ``--hypothesis-show-statistics``."""
+    if isinstance(result, list):
+        return "trained"
+    return next(k for k in ("below minimum", "saturated", "empty corpus", "no words")
+                if k in result[1])
+
+
+# Two letters, so that words repeat symbols ("aaaa" has three (##a, ##a)
+# pairs, merged left to right without overlap) and pair counts often tie.
+TRAIN_WORD = st.text("ab", min_size=1, max_size=8)
+TRAIN_DOC = st.lists(st.one_of(TRAIN_WORD, TRAIN_WORD.map(str.upper), st.just("a.b"),
+                               st.just("?")), max_size=8).map(" ".join)
+
+
+def minimum_size(corpus) -> int:
+    """The specials plus the base pieces: each word's first letter, and its
+    other letters as continuations."""
+    words = {w for doc in corpus for w in normalize_words(doc)}
+    return len(SPECIALS) + len({w[0] for w in words} | {CONT + c for w in words for c in w[1:]})
+
+
+@settings(max_examples=600, deadline=None)
+@given(corpus=st.lists(TRAIN_DOC, max_size=4),
+       extra=st.integers(-4, 12) | st.integers(12, 40))
+@example(corpus=["aaaa aaaa ab"], extra=3)   # (##a, ##a) merged left to right
+@example(corpus=["ab ba"], extra=1)           # tie: (a, ##b) before (b, ##a)
+@example(corpus=["aab"], extra=-1)            # below the minimum of 7
+@example(corpus=["aab"], extra=3)             # saturated at 9
+@example(corpus=[], extra=0)
+@example(corpus=["? !"], extra=0)
+def test_train_vocab_matches_reference(corpus, extra):
+    target_size = minimum_size(corpus) + extra
+    want = trained_pieces(ref.train_vocab, corpus, target_size)
+    event(case(want))
+    assert trained_pieces(train_vocab, corpus, target_size) == want
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_train_vocab_file_matches_reference(tmp_path, seed):
+    corpus = synthetic.corpus_texts(synthetic.generate_records(120, seed=seed))
+    for size in (256, 384, 512):
+        save_vocab(train_vocab(corpus, size), tmp_path / "got.json")
+        save_vocab(ref.train_vocab(corpus, size), tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()

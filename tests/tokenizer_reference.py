@@ -1,10 +1,15 @@
-"""The append-loop encoder that ``tokenizer.py`` replaced, kept as a reference.
+"""The append-loop encoder and the full-rescan merge loop that ``tokenizer.py``
+replaced, kept as references.
 
 ``test_tokenizer_reference.py`` checks that the slicing encoder in
-``conceptqa.tokenizer`` gives the same bytes, dtypes and values as these four
-functions on random corpora.  They are deliberately written the long way:
-one piece at a time, one mask per word.
+``conceptqa.tokenizer`` gives the same bytes, dtypes and values as the four
+encoder functions here, and that the incremental ``train_vocab`` returns the
+same pieces, or raises the same error, as the one here, on random corpora.
+They are deliberately written the long way: one piece at a time, one mask per
+word, every pair recounted in every word each merge round.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -16,8 +21,10 @@ from conceptqa.tokenizer import (
     SEG_QUESTION,
     SEG_SPECIAL,
     SEP,
+    SPECIALS,
     UNK,
     TokenizedExample,
+    Vocab,
     _fragments,
 )
 
@@ -143,3 +150,60 @@ def build_boost_vector(example, dictionary):
         mask = widx == wi
         values[mask] = 1.0 + (bf - 1.0) / np.count_nonzero(mask)
     return values
+
+
+def train_vocab(corpus: list[str], target_size: int) -> Vocab:
+    """Greedy frequency-merge vocabulary of exactly ``target_size`` pieces.
+
+    Deterministic for a fixed corpus: the most frequent adjacent piece pair is
+    merged each round, ties resolved by the lexicographically smallest pair.
+    """
+    if not corpus:
+        raise ValueError("empty corpus")
+
+    word_freqs = Counter()
+    for doc in corpus:
+        word_freqs.update(normalize_words(doc))
+    if not word_freqs:
+        raise ValueError("corpus contains no words after normalization")
+
+    base: set[str] = set()
+    splits: dict[str, list[str]] = {}
+    for word in word_freqs:
+        symbols = [word[0]] + [CONT + ch for ch in word[1:]]
+        splits[word] = symbols
+        base.update(symbols)
+
+    pieces = list(SPECIALS) + sorted(base)
+    if target_size < len(pieces):
+        raise ValueError(
+            f"target_size {target_size} below minimum {len(pieces)} "
+            f"({len(base)} base pieces + {len(SPECIALS)} specials)"
+        )
+    known = set(pieces)
+
+    while len(pieces) < target_size:
+        pair_counts = Counter()
+        for word, symbols in splits.items():
+            freq = word_freqs[word]
+            for a, b in zip(symbols, symbols[1:]):
+                pair_counts[(a, b)] += freq
+        if not pair_counts:
+            raise ValueError(
+                f"target_size {target_size} unreachable: vocabulary saturated at {len(pieces)}"
+            )
+        best_count = max(pair_counts.values())
+        a, b = min(p for p, c in pair_counts.items() if c == best_count)
+        merged = a + (b[len(CONT):] if b.startswith(CONT) else b)
+        for word, symbols in splits.items():
+            i = 0
+            while i < len(symbols) - 1:
+                if symbols[i] == a and symbols[i + 1] == b:
+                    symbols[i:i + 2] = [merged]
+                else:
+                    i += 1
+        if merged not in known:
+            known.add(merged)
+            pieces.append(merged)
+
+    return Vocab(pieces=pieces)
