@@ -34,7 +34,6 @@ from .model import (
     predict_span,
     qa_forward,
     save_checkpoint,
-    span_loss,
 )
 from .tokenizer import (
     TokenizedExample,

@@ -307,9 +307,7 @@ def cmd_data_synth(args) -> int:
 
 
 def cmd_vocab_train(args) -> int:
-    dataset = data_mod.load_dataset(args.data)
-    texts = [f"{r.question} {r.context}" for r in dataset.records]
-    vocab = train_vocab(texts, args.size)
+    vocab = train_vocab(synthetic.corpus_texts(data_mod.load_dataset(args.data)), args.size)
     save_vocab(vocab, args.out)
     print(f"trained vocabulary of {len(vocab)} pieces -> {args.out}")
     _write_manifest(args, {"size": args.size}, [args.out], seed=None)

@@ -1,9 +1,9 @@
 """Concept dictionary: importance scores and attention boost factors.
 
-A concept dictionary is a small, frozen table of domain terms.  Each term
-carries an importance score IS in [0, 1] derived from log corpus frequency
-times a scholarly weight, and a boost factor BF = 2 * IS + 1 in [1, 3] that
-later scales token emphasis inside the encoder.  A curated 12-term fixture
+A concept dictionary is a small, frozen table of single-word domain terms.
+Each term carries an importance score IS in [0, 1] derived from log corpus
+frequency times a scholarly weight, and a boost factor BF = 2 * IS + 1 in
+[1, 3] that later scales token emphasis inside the encoder.  A curated 12-term fixture
 ships with the package (``builtin_dictionary``).
 """
 
@@ -58,7 +58,7 @@ class ConceptEntry:
 
 @dataclass
 class ConceptDictionary:
-    """Immutable-by-convention term table keyed by normalized term."""
+    """Immutable-by-convention term table keyed by each term's one normalized word."""
 
     entries: dict[str, ConceptEntry]
     version: str = "unversioned"
@@ -69,12 +69,6 @@ class ConceptDictionary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, term: str) -> bool:
-        return normalize_text(term) in self.entries
-
-    def lookup(self, term: str) -> ConceptEntry | None:
-        return self.entries.get(normalize_text(term))
-
     def boost_of(self, word: str) -> float:
         """Boost factor of an already normalized ``word`` (one of ``normalize_words``),
         1.0 when it is not in the dictionary."""
@@ -83,9 +77,17 @@ class ConceptDictionary:
 
     def validate(self) -> None:
         for key, entry in self.entries.items():
-            if key != normalize_text(entry.term):
+            if _one_word(entry.term) != key:
                 raise DictionaryError(f"entry key {key!r} does not match term {entry.term!r}")
             entry.validate()
+
+
+def _one_word(term: str) -> str:
+    """The one normalized word of ``term``; DictionaryError naming it otherwise."""
+    words = normalize_words(term)
+    if len(words) != 1:
+        raise DictionaryError(f"term {term!r} normalizes to {len(words)} words, not one")
+    return words[0]
 
 
 def boost_factor(importance: float) -> float:
@@ -152,9 +154,7 @@ def build_dictionary(
 
     norm_terms = {}
     for term in term_list:
-        key = normalize_text(term)
-        if not key:
-            raise ValueError(f"term {term!r} normalizes to nothing")
+        key = _one_word(term)
         if key in norm_terms:
             raise DictionaryError(f"duplicate term after normalization: {term!r}")
         norm_terms[key] = term

@@ -117,27 +117,38 @@ def _forward_rows(model: EncoderModel, rows: list[tuple[np.ndarray, np.ndarray]]
     return out
 
 
+def _windows(ids: list[int], counts: list[int], width: int) -> list[tuple[list, list]]:
+    """(piece ids, piece count per word) of consecutive word windows of at most
+    ``width`` pieces; a longer word keeps its first ``width`` pieces."""
+    windows = [([], [])]
+    start = 0
+    for n in counts:
+        pieces = ids[start:start + n][:width]
+        start += n
+        if windows[-1][1] and len(windows[-1][0]) + len(pieces) > width:
+            windows.append(([], []))
+        windows[-1][0].extend(pieces)
+        windows[-1][1].append(len(pieces))
+    return windows
+
+
 def _embed_token_lists(model: EncoderModel, vocab: Vocab, token_lists) -> list[np.ndarray]:
     """Per-token embeddings of each token list from the encoder's final hidden states.
 
-    Each list is packed as a context-only sequence and each word's subword
-    states are mean-pooled, yielding one vector per input token.
+    Each list is packed as context-only sequences, one per ``_windows`` window
+    of the model's ``max_len - 2`` pieces, and each word's subword states are
+    mean-pooled, yielding one vector per input token.
     """
-    words = [vocab.encode_words(tokens) for tokens in token_lists]
+    rows = [(i, window) for i, tokens in enumerate(token_lists)
+            for window in _windows(*vocab.encode_words(tokens), model.config.max_len - 2)]
     hidden = _forward_rows(model, [(ids, np.ones(len(ids)))
-                                   for ids in (vocab.pack(pieces) for pieces, _ in words)])
-    out = []
-    for (pieces, counts), h in zip(words, hidden):
+                                   for ids in (vocab.pack(pieces) for _, (pieces, _) in rows)])
+    parts = [[] for _ in token_lists]
+    for (i, (pieces, counts)), h in zip(rows, hidden):
         counts = np.asarray(counts)
         sums = np.add.reduceat(h[1:1 + len(pieces)], np.cumsum(counts) - counts)  # past [CLS]
-        out.append(sums / counts[:, None])
-    return out
-
-
-def model_embedder(model: EncoderModel, vocab: Vocab) -> metrics.Embedder:
-    """An embedder of one token list per call, by ``_embed_token_lists``;
-    ``evaluate`` embeds all of its lists in one batched pass instead."""
-    return lambda tokens: _embed_token_lists(model, vocab, [tokens])[0]
+        parts[i].append(sums / counts[:, None])
+    return [np.concatenate(p) for p in parts]
 
 
 def predict_all(
@@ -207,7 +218,7 @@ def evaluate(
     ablation: str = FULL,
     *,
     vocab: Vocab,
-    dictionary: ConceptDictionary | None = None,
+    dictionary: ConceptDictionary,
 ) -> MetricReport:
     """Full metric pass over an encoded dataset, from one prediction pass.
 
@@ -235,9 +246,8 @@ def evaluate(
         bleus.append(metrics.bleu(text, enc.gold_texts[0]))
         rouges.append(metrics.rouge_l(text, enc.gold_texts[0]))
         primary_pairs.append((text, enc.gold_texts[0]))
-        if dictionary is not None:
-            gold_words = metrics.normalize_answer(enc.gold_texts[0])
-            concept_flags.append(any(w in dictionary.entries for w in gold_words))
+        gold_words = metrics.normalize_answer(enc.gold_texts[0])
+        concept_flags.append(any(w in dictionary.entries for w in gold_words))
 
     lists = list(dict.fromkeys(
         tuple(words) for pair in primary_pairs
@@ -246,7 +256,7 @@ def evaluate(
     emb = metrics.embed_score(primary_pairs, lambda tokens: table[tuple(tokens)])
 
     concept_em = None
-    if dictionary is not None and any(concept_flags):
+    if any(concept_flags):
         sel = [e for e, flag in zip(ems, concept_flags) if flag]
         concept_em = 100.0 * float(np.mean(sel))
 

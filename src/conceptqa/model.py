@@ -241,9 +241,10 @@ def _lin_bwd(dy, w, a, bb, scale, cache):
 
 
 def _layernorm_fwd(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]  # means as sum / d: ``mean`` adds ~5 us of Python per call; both round alike
+    mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return gamma * xhat + beta, (xhat, inv, gamma)
@@ -252,8 +253,9 @@ def _layernorm_fwd(x, gamma, beta):
 def _layernorm_bwd(dy, cache):
     xhat, inv, gamma = cache
     dxhat = dy * gamma
-    mean1 = dxhat.mean(axis=-1, keepdims=True)
-    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    d = dxhat.shape[-1]
+    mean1 = dxhat.sum(axis=-1, keepdims=True) / d
+    mean2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
     return inv * (dxhat - mean1 - xhat * mean2)
 
 
@@ -601,7 +603,8 @@ def _head_loss(logits: np.ndarray, gold: int):
 
 
 def _span_loss_and_grads(start_logits, end_logits, gold: tuple[int, int]):
-    """``span_loss`` and the gradients of the start and end logits."""
+    """The summed cross-entropies of the start and end positions, and the
+    gradients of the start and end logits."""
     ys, ye = gold
     n = len(start_logits)
     if not (0 <= ys < n and 0 <= ye < n and ys <= ye):
@@ -609,12 +612,6 @@ def _span_loss_and_grads(start_logits, end_logits, gold: tuple[int, int]):
     loss_start, dstart = _head_loss(start_logits, ys)
     loss_end, dend = _head_loss(end_logits, ye)
     return float(loss_start + loss_end), dstart, dend
-
-
-def span_loss(start_logits: np.ndarray, end_logits: np.ndarray,
-              gold: tuple[int, int]) -> float:
-    """Summed cross-entropies of the start and end positions."""
-    return _span_loss_and_grads(start_logits, end_logits, gold)[0]
 
 
 def qa_loss_and_grads(
@@ -753,9 +750,3 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
     return EncoderModel(config=config, params=params, seed=header["seed"],
                         dictionary_version=header["dictionary_version"])
-
-
-def models_equal(a: EncoderModel, b: EncoderModel) -> bool:
-    if a.config != b.config or set(a.params) != set(b.params):
-        return False
-    return all(np.array_equal(a.params[k], b.params[k]) for k in a.params)

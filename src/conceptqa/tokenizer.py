@@ -129,8 +129,7 @@ def train_vocab(corpus: list[str], target_size: int) -> Vocab:
 
     Deterministic for a fixed corpus: the most frequent adjacent piece pair is
     merged each round, ties resolved by the lexicographically smallest pair
-    ``(a, b)``.  A merge that yields a piece already in the vocabulary adds
-    nothing.  Pair counts are kept incrementally (BPE, Sennrich et al., 2016):
+    ``(a, b)``.  Pair counts are kept incrementally (BPE, Sennrich et al., 2016):
     a pair -> frequency-weighted count map, a pair -> words index and a heap of
     ``(-count, pair)`` whose entries are dropped on pop once their count is
     stale.  A merge rewrites only the words its pair's index names, each left
@@ -166,7 +165,6 @@ def train_vocab(corpus: list[str], target_size: int) -> Vocab:
             f"target_size {target_size} below minimum {len(pieces)} "
             f"({len(base)} base pieces + {len(SPECIALS)} specials)"
         )
-    known = set(pieces)
     heap = [(-c, pair) for pair, c in counts.items()]
     heapq.heapify(heap)
 
@@ -201,9 +199,11 @@ def train_vocab(corpus: list[str], target_size: int) -> Vocab:
                     heapq.heappush(heap, (-c, pair))
                 else:
                     del counts[pair]
-        if merged not in known:
-            known.add(merged)
-            pieces.append(merged)
+        # A new piece: the scan splits a stretch of a word that no symbol crosses
+        # as it splits that string alone (a merged symbol never equals its left
+        # part), so every word holding the string merged in the step that first
+        # made it and no later pair spells it.  ``Vocab`` rejects duplicates.
+        pieces.append(merged)
 
     return Vocab(pieces=pieces)
 

@@ -22,7 +22,8 @@ import numpy as np
 from . import evaluation, metrics, model as model_mod
 from .dictionary import ConceptDictionary
 from .model import ADAPTABLE_GROUPS, EncoderModel
-from .text import _field, _items, normalize_text, read_json_object, words_with_spans
+from .text import (_field, _items, normalize_text, normalize_words, read_json_object,
+                   words_with_spans)
 from .tokenizer import Vocab
 
 STAGE_ADAPTATION = "adaptation"
@@ -48,10 +49,10 @@ class StageConfig:
                 raise ValueError(f"unknown trainable group {group!r}")
 
 
-def default_stages(stage1_epochs: int = 10, stage2_epochs: int = 20) -> list[StageConfig]:
+def default_stages() -> list[StageConfig]:
     return [
-        StageConfig(STAGE_ADAPTATION, stage1_epochs, False, ("lora", "heads")),
-        StageConfig(STAGE_SPECIALIZATION, stage2_epochs, True,
+        StageConfig(STAGE_ADAPTATION, 10, False, ("lora", "heads")),
+        StageConfig(STAGE_SPECIALIZATION, 20, True,
                     ("lora", "gates", "heads", "embed_domain")),
     ]
 
@@ -138,7 +139,7 @@ def optimizer_step(
     grads: dict[str, np.ndarray],
     state: dict,
     cfg: TrainConfig,
-    lr: float | None = None,
+    lr: float,
 ) -> tuple[dict[str, np.ndarray], dict]:
     """One decoupled-weight-decay adaptive-moment update, in place.
 
@@ -147,7 +148,6 @@ def optimizer_step(
     step are left untouched (no decay either).  A non-finite gradient aborts
     the step before any parameter moves.
     """
-    lr = cfg.learning_rate if lr is None else lr
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
@@ -197,11 +197,11 @@ class SynonymTable:
         hold a dictionary term, as "the prophet" and "prayer-time" do."""
         for key, values in self.table.items():
             for kind, phrase in [("key", key), *(("value", v) for v in values)]:
-                norm = normalize_text(phrase)
-                for term in dictionary.entries:
-                    if f" {term} " in f" {norm} ":
+                words = normalize_words(phrase)
+                for term in words:
+                    if term in dictionary.entries:
                         raise ValueError(f"synonym {kind} {phrase!r} " + (
-                            "is a dictionary concept term" if norm == term
+                            "is a dictionary concept term" if words == [term]
                             else f"holds dictionary concept term {term!r}"))
 
     @classmethod
@@ -326,7 +326,7 @@ def train_two_stage(
     train_set: list,
     val_set: list,
     cfg: TrainConfig,
-    stages: list[StageConfig] | None = None,
+    stages: list[StageConfig],
     *,
     vocab: Vocab,
 ) -> tuple[EncoderModel, TrainHistory]:
@@ -341,7 +341,6 @@ def train_two_stage(
     """
     if not train_set or not val_set:
         raise ValueError("empty split")
-    stages = stages if stages is not None else default_stages()
 
     usable = [e for e in train_set if e.example.gold_span is not None]
     history = TrainHistory(skipped_truncated=len(train_set) - len(usable))

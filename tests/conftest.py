@@ -39,6 +39,19 @@ def tiny_model(tiny_vocab):
     return model_mod.build_model(cfg, seed=0)
 
 
+def _models_equal(a: model_mod.EncoderModel, b: model_mod.EncoderModel) -> bool:
+    """Same config and bit-equal parameter tensors under the same names."""
+    if a.config != b.config or set(a.params) != set(b.params):
+        return False
+    return all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
+
+
+@pytest.fixture(scope="session")
+def models_equal():
+    """``_models_equal``: whether two models hold the same config and tensors."""
+    return _models_equal
+
+
 @pytest.fixture(scope="session")
 def memorized():
     """A small model trained to memorize its 8-record training set."""

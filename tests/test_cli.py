@@ -94,6 +94,15 @@ class TestIcdCommands:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == threads
 
+    def test_build_rejects_a_term_of_two_words(self, workdir, tmp_path, capsys):
+        terms = tmp_path / "terms.txt"
+        terms.write_text("prayer-time\nallah\n", encoding="utf-8")
+        assert main(["icd", "build", "--corpus", str(workdir / "corpus"),
+                     "--terms", str(terms), "--out", str(tmp_path / "icd.json")]) == 1
+        assert ("term 'prayer-time' normalizes to 2 words, not one"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "icd.json").exists()
+
     def test_missing_corpus_is_validation_failure(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -265,6 +274,26 @@ class TestTrainEvalPredict:
             assert key in report
         preds = json.loads((out_dir / "predictions.json").read_text())
         assert {"id", "pred_text", "gold_text", "start", "end"} <= set(preds[0])
+
+    def test_eval_embeds_an_answer_longer_than_the_window(self, workdir, tmp_path):
+        # record 0's gold answer is its whole context, more pieces than a
+        # max_len 24 sequence holds: the embedding score packs it in windows
+        fixture = synthetic.generate_records(40, seed=3)
+        rec = fixture.records[0]
+        fixture.records[0] = dataclasses.replace(rec, answer_text=rec.context,
+                                                 answer_char_start=0, all_answers=[rec.context])
+        synthetic.write_squad(fixture, tmp_path / "raw.json")
+        flat, vocab = str(tmp_path / "flat.json"), str(tmp_path / "vocab.json")
+        assert main(["data", "ingest", "--in", str(tmp_path / "raw.json"), "--out", flat]) == 0
+        assert main(["vocab", "train", "--data", flat, "--size", "200", "--out", vocab]) == 0
+        common = ["--data", flat, "--vocab", vocab, "--dict", str(workdir / "icd.json")]
+        assert main(["train", *common, "--out-dir", str(tmp_path / "run"),
+                     "--config", str(workdir / "config.json"), "--set", "model.max_len=24",
+                     "--set", "model.hidden=8", "--set", "stages.1.epochs=1"]) == 0
+        assert main(["eval", *common, "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                     "--out-dir", str(tmp_path / "eval")]) == 0
+        preds = json.loads((tmp_path / "eval" / "predictions.json").read_text())
+        assert preds[0]["gold_text"] == rec.context
 
     def test_eval_predictions_match_predict(self, workdir, trained, tmp_path):
         common = ["--checkpoint", str(trained / "checkpoint.bin"),
@@ -744,6 +773,18 @@ class TestExitCodes:
                    "--dict", str(workdir / "icd.json"), "--out", str(tmp_path / "p.json")])
         assert rc == 1
         assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("term, words", [("the prophet", 2), ("!!!", 0),
+                                             ("prayer-time", 2)])
+    def test_dictionary_term_of_other_than_one_word_is_one(self, tmp_path, capsys, term,
+                                                           words):
+        # boost_of matches single words, so such a term could never boost a token
+        path = tmp_path / "icd.json"
+        path.write_text(json.dumps({"version": "t", "entries": [
+            {"term": term, "importance_score": 1.0, "boost_factor": 3.0}]}), encoding="utf-8")
+        assert main(["icd", "show", str(path)]) == 1
+        assert (f"{path}: term {term!r} normalizes to {words} words, not one"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("raw, message", [
         ('{"entries": 5}', "entries: expected array, got integer"),

@@ -105,8 +105,8 @@ class TestBuildDictionary:
     def test_argmax_term_gets_full_boost(self):
         corpus = ["allah allah allah guidance", "allah spoke", "quiet evening"]
         d = build_dictionary(corpus, ["allah", "guidance"])
-        assert d.lookup("allah").boost_factor == pytest.approx(3.0)
-        assert d.lookup("allah").corpus_frequency == pytest.approx(2 / 3)
+        assert d.entries["allah"].boost_factor == pytest.approx(3.0)
+        assert d.entries["allah"].corpus_frequency == pytest.approx(2 / 3)
 
     def test_full_dictionary_matches_scalar_oracle(self):
         terms = [f"term{i}" for i in range(12)]
@@ -119,15 +119,15 @@ class TestBuildDictionary:
         log_max = max(math.log(c + 1) for c in counts.values())
         for i, t in enumerate(terms):
             expected_is = min(1.0, math.log(counts[t] + 1) / log_max)
-            entry = d.lookup(t)
+            entry = d.entries[t]
             assert entry.importance_score == pytest.approx(expected_is, abs=1e-12)
             assert entry.boost_factor == pytest.approx(2 * expected_is + 1, abs=1e-12)
             assert entry.corpus_frequency == pytest.approx((i + 1) / len(corpus))
 
     def test_unseen_term_is_neutral_with_warning(self):
         d = build_dictionary(["some words here"], ["words", "ghost"])
-        assert d.lookup("ghost").boost_factor == 1.0
-        assert d.lookup("ghost").importance_score == 0.0
+        assert d.entries["ghost"].boost_factor == 1.0
+        assert d.entries["ghost"].importance_score == 0.0
         assert any("ghost" in w for w in d.build_warnings)
 
     def test_bf_invariant_exact(self):
@@ -141,9 +141,15 @@ class TestBuildDictionary:
         with pytest.raises(ValueError):
             build_dictionary(["doc"], [])
 
+    def test_term_of_other_than_one_word_is_rejected(self):
+        # the corpus holds "the prophet", but boost_of could never match it
+        for term in ("the prophet", "prayer-time", "!!!"):
+            with pytest.raises(DictionaryError, match=f"term {term!r} normalizes to"):
+                build_dictionary(["the prophet said pray at prayer time"], [term, "prayer"])
+
     def test_case_insensitive_matching(self):
         d = build_dictionary(["Allah ALLAH allah"], ["Allah"])
-        assert d.lookup("aLLaH").importance_score == 1.0
+        assert d.entries["allah"].importance_score == 1.0
 
 
 class TestSerialization:
@@ -157,7 +163,7 @@ class TestSerialization:
         assert len(builtin_dict) == 12
         builtin_dict.validate()
         for term, importance, boost in FIXTURE_ROWS:
-            entry = builtin_dict.lookup(term)
+            entry = builtin_dict.entries[term]
             assert entry.importance_score == pytest.approx(importance)
             assert entry.boost_factor == pytest.approx(boost)
             assert abs(entry.boost_factor - boost_factor(entry.importance_score)) <= 0.005
@@ -236,11 +242,6 @@ class TestMutatedFiles:
 class TestLookup:
     def test_boost_of_unknown_is_neutral(self, builtin_dict):
         assert builtin_dict.boost_of("carpet") == 1.0
-
-    def test_contains_normalizes(self, builtin_dict):
-        assert "Prophet" in builtin_dict
-        assert "PRAYER" in builtin_dict
-        assert "unknown" not in builtin_dict
 
     def test_entry_validation(self):
         with pytest.raises(DictionaryError):

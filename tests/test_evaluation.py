@@ -17,7 +17,6 @@ from conceptqa.evaluation import (
     evaluate,
     format_report_table,
     latency_ratio,
-    model_embedder,
     predict_all,
 )
 from conceptqa import evaluation, metrics
@@ -122,7 +121,7 @@ class TestEvaluate:
     def test_empty_dataset_error(self, memorized):
         model, _, vocab, dictionary = memorized
         with pytest.raises(ValueError, match="empty dataset"):
-            evaluate(model, [], vocab=vocab)
+            evaluate(model, [], vocab=vocab, dictionary=dictionary)
 
     def test_predictions_have_required_fields(self, memorized):
         model, encoded, vocab, _ = memorized
@@ -135,9 +134,9 @@ class TestLatency:
     def test_one_prediction_pass_sets_latency(self, memorized, monkeypatch):
         # each example is forwarded exactly once, in one batched prediction pass;
         # the only other rows are the embedding score's answers
-        model, encoded, vocab, _ = memorized
+        model, encoded, vocab, dictionary = memorized
         rows = count_forwarded_rows(monkeypatch)
-        report = evaluate(model, encoded, vocab=vocab)
+        report = evaluate(model, encoded, vocab=vocab, dictionary=dictionary)
         assert rows == Counter(tuple(enc.example.token_ids) for enc in encoded) + \
             embedded_answer_rows(report, vocab)
         assert report.mean_latency_ms > 0
@@ -179,7 +178,8 @@ class TestBatchedInference:
         assert rows == Counter(tuple(enc.example.token_ids) for enc in encoded) + embedded
         per_call = metrics.embed_score([(p["pred_text"], p["gold_text"])
                                         for p in report.predictions],
-                                       model_embedder(model, vocab))
+                                       lambda tokens: evaluation._embed_token_lists(
+                                           model, vocab, [tokens])[0])
         assert report.embed_score == pytest.approx(per_call, abs=1e-6)
 
 
@@ -217,13 +217,38 @@ class TestReportFormat:
 class TestModelEmbedder:
     def test_produces_one_vector_per_token(self, memorized):
         model, _, vocab, _ = memorized
-        emb = model_embedder(model, vocab)
-        out = emb(["patience", "mercy", "gathering"])
+        out = evaluation._embed_token_lists(model, vocab, [["patience", "mercy", "gathering"]])[0]
         assert out.shape == (3, model.config.hidden)
         assert np.isfinite(out).all()
 
     def test_multi_piece_words_pool(self, memorized):
         model, _, vocab, _ = memorized
-        emb = model_embedder(model, vocab)
-        out = emb(["steadfastness"])  # splits into several pieces
+        out = evaluation._embed_token_lists(model, vocab, [["steadfastness"]])[0]  # several pieces
         assert out.shape == (1, model.config.hidden)
+
+    def test_a_list_that_fits_is_one_sequence(self, memorized):
+        # one [CLS] ... [SEP] row, its pieces' states pooled per word
+        model, _, vocab, _ = memorized
+        tokens = ["patience", "mercy", "gathering", "steadfastness"]
+        ids, counts = vocab.encode_words(tokens)
+        h = encoder_forward(model, vocab.pack(ids), np.ones(len(ids) + 2))[1:-1]
+        counts = np.asarray(counts)
+        expected = np.add.reduceat(h, np.cumsum(counts) - counts) / counts[:, None]
+        out = evaluation._embed_token_lists(model, vocab, [tokens])[0]
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+
+    def test_a_list_past_the_window_is_one_sequence_per_window(self, tiny_vocab):
+        # max_len 8 holds 6 pieces: mercy 3, patience 4, the 1, abracadabra 9, a 1
+        cfg = M.ModelConfig(layers=1, hidden=8, heads=2, lora_rank=2, max_len=8,
+                            vocab_size=len(tiny_vocab))
+        model = M.build_model(cfg, seed=0)
+        tokens = ["mercy", "patience", "the", "abracadabra", "a", "mercy"]
+        windows = evaluation._windows(*tiny_vocab.encode_words(tokens), 6)
+        assert [counts for _, counts in windows] == [[3], [4, 1], [6], [1, 3]]
+        # the long word keeps its first 6 pieces
+        assert windows[2][0] == tiny_vocab.encode_words(["abracadabra"])[0][:6]
+        out = evaluation._embed_token_lists(model, tiny_vocab, [tokens])[0]
+        assert out.shape == (len(tokens), 8)
+        groups = [["mercy"], ["patience", "the"], ["abracadabra"], ["a", "mercy"]]
+        assert out.tobytes() == np.concatenate(
+            evaluation._embed_token_lists(model, tiny_vocab, groups)).tobytes()

@@ -22,12 +22,10 @@ from conceptqa.model import (
     embed,
     encoder_forward,
     load_checkpoint,
-    models_equal,
     parameter_shapes,
     predict_span,
     qa_loss_and_grads,
     save_checkpoint,
-    span_loss,
 )
 from conceptqa.tokenizer import SEG_CONTEXT, SEG_QUESTION, SEG_SPECIAL, TokenizedExample
 
@@ -370,12 +368,12 @@ class TestSpanLoss:
         end = np.full(20, -40.0)
         start[5] = 40.0
         end[7] = 40.0
-        assert span_loss(start, end, (5, 7)) < 1e-10
+        assert M._span_loss_and_grads(start, end, (5, 7))[0] < 1e-10
 
     def test_uniform_logits_entropy(self):
         logits = np.zeros(384)
-        assert span_loss(logits, logits, (10, 12)) == pytest.approx(2 * math.log(384),
-                                                                    abs=1e-9)
+        assert M._span_loss_and_grads(logits, logits, (10, 12))[0] == \
+            pytest.approx(2 * math.log(384), abs=1e-9)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(11)
@@ -388,11 +386,11 @@ class TestSpanLoss:
             return -math.log(exp[y] / sum(exp))
 
         expected = ce(start, gold[0]) + ce(end, gold[1])
-        assert span_loss(start, end, gold) == pytest.approx(expected, abs=1e-10)
+        assert M._span_loss_and_grads(start, end, gold)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_invalid_gold(self):
         with pytest.raises(ValueError, match="invalid gold span"):
-            span_loss(np.zeros(5), np.zeros(5), (3, 1))
+            M._span_loss_and_grads(np.zeros(5), np.zeros(5), (3, 1))
 
     @settings(max_examples=300, deadline=None)
     @given(dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 400),
@@ -416,7 +414,7 @@ class TestSpanLoss:
         ys, ye = sorted((pick[at](), pick[at]()))
         loss_start, dstart = M._head_loss(start, ys)
         loss_end, dend = M._head_loss(end, ye)
-        assert span_loss(start, end, (ys, ye)) == float(loss_start + loss_end) \
+        assert M._span_loss_and_grads(start, end, (ys, ye))[0] == float(loss_start + loss_end) \
             == float(-log_softmax(start)[ys] - log_softmax(end)[ye])
         for logits, y, grad in ((start, ys, dstart), (end, ye, dend)):
             expected = softmax(logits[None, :])[0]
@@ -766,7 +764,7 @@ class TestParameterAccounting:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self, tmp_path, models_equal):
         cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
         model = build_model(cfg, seed=5, dictionary_version="builtin-12term-1")
         path = tmp_path / "model.bin"
@@ -839,7 +837,7 @@ class TestCheckpoint:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_round_trip_and_any_resized_body_rejected(self, data):
+    def test_round_trip_and_any_resized_body_rejected(self, models_equal, data):
         heads = data.draw(st.integers(1, 3), label="heads")
         cfg = ModelConfig(
             layers=data.draw(st.integers(1, 3), label="layers"),

@@ -100,7 +100,7 @@ class TestOptimizerStep:
         state = init_optimizer_state(params)
         before = params["w"].copy()
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            optimizer_step(params, {"w": np.array([1.0, np.nan])}, state, cfg)
+            optimizer_step(params, {"w": np.array([1.0, np.nan])}, state, cfg, lr=1e-3)
         np.testing.assert_array_equal(params["w"], before)
 
     def test_moments_are_made_once_per_tensor(self, monkeypatch):
@@ -114,17 +114,17 @@ class TestOptimizerStep:
         zeros_like = np.zeros_like
         monkeypatch.setattr(np, "zeros_like", lambda a: made.append(a.shape) or zeros_like(a))
         state = init_optimizer_state({})
-        optimizer_step(params, grads[0], state, TrainConfig())
+        optimizer_step(params, grads[0], state, TrainConfig(), lr=1e-3)
         first = {k: (state["m"][k], state["v"][k]) for k in params}
         for g in grads[1:]:
-            optimizer_step(params, g, state, TrainConfig())
+            optimizer_step(params, g, state, TrainConfig(), lr=1e-3)
         assert made == [(3,), (3,), (2, 2), (2, 2)]
         assert all(state["m"][k] is m and state["v"][k] is v for k, (m, v) in first.items())
 
     def test_unknown_param(self):
         with pytest.raises(KeyError):
             optimizer_step({"w": np.ones(1)}, {"q": np.ones(1)},
-                           init_optimizer_state({}), TrainConfig())
+                           init_optimizer_state({}), TrainConfig(), lr=1e-3)
 
 
 class TestAugmentSynonym:
@@ -258,7 +258,7 @@ class TestTrainTwoStage:
         assert model.params["gate.w"].tobytes() == gate_w.tobytes()
         assert model.params["gate.b"].tobytes() == gate_b.tobytes()
 
-    def test_stage_one_ignores_the_boost(self, training_setup):
+    def test_stage_one_ignores_the_boost(self, training_setup, models_equal):
         # the boost-off stage is the no_icd model: all-ones boosts train it identically
         train, val, vocab = training_setup
         flat = [dataclasses.replace(enc, example=dataclasses.replace(
@@ -269,9 +269,9 @@ class TestTrainTwoStage:
         m1, h1 = train_two_stage(self._model(vocab), train, val, cfg, stages, vocab=vocab)
         m2, h2 = train_two_stage(self._model(vocab), flat, val, cfg, stages, vocab=vocab)
         assert h1.records == h2.records
-        assert model_mod.models_equal(m1, m2)
+        assert models_equal(m1, m2)
 
-    def test_full_determinism(self, training_setup):
+    def test_full_determinism(self, training_setup, models_equal):
         train, val, vocab = training_setup
         cfg = TrainConfig(learning_rate=1e-3, warmup_steps=2, patience=3, seed=7)
         stages = [StageConfig("adaptation", 2, False, ("lora", "heads")),
@@ -282,12 +282,12 @@ class TestTrainTwoStage:
         m2, h2 = train_two_stage(self._model(vocab, 7), train, val, cfg, stages,
                                  vocab=vocab)
         assert h1.records == h2.records
-        assert model_mod.models_equal(m1, m2)
+        assert models_equal(m1, m2)
 
     def test_best_checkpoint_dominates_history(self, training_setup):
         train, val, vocab = training_setup
         cfg = TrainConfig(learning_rate=5e-3, warmup_steps=2, patience=2, seed=0)
-        stages = default_stages(stage1_epochs=2, stage2_epochs=2)
+        stages = [dataclasses.replace(s, epochs=2) for s in default_stages()]
         _, history = train_two_stage(self._model(vocab), train, val, cfg, stages,
                                      vocab=vocab)
         assert history.best_em == max(r["em"] for r in history.records)
@@ -303,7 +303,8 @@ class TestTrainTwoStage:
     def test_empty_split_rejected(self, training_setup):
         train, val, vocab = training_setup
         with pytest.raises(ValueError, match="empty split"):
-            train_two_stage(self._model(vocab), [], val, TrainConfig(), vocab=vocab)
+            train_two_stage(self._model(vocab), [], val, TrainConfig(), default_stages(),
+                            vocab=vocab)
 
     def test_stage_config_validation(self):
         with pytest.raises(ValueError):
