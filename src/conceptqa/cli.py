@@ -4,7 +4,9 @@ Subcommands: icd build|show, data ingest|split|augment|encode|synth, vocab
 train, train, eval, ablate, predict, gradcheck.  Settings come from a JSON
 config file with flat --set overrides (flags win); each section is read by
 ``model.read_config``.  Every command writes a manifest (resolved settings,
-seed, input hashes, tool version, environment) next to its outputs.
+seed, input hashes, tool version, environment) next to its outputs.  On
+glibc, ``main`` first keeps freed heap blocks in the process
+(``_keep_freed_heap``), which only the command line does.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
@@ -120,6 +123,33 @@ def _settings(args, vocab_size: int) -> _Settings:
     return _Settings(model=model, train=train, stages=stages, split=split)
 
 
+# glibc's mallopt parameters (malloc.h) and the values main sets them to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_SETTING = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
+
+
+def _keep_freed_heap() -> dict | None:
+    """Keep freed blocks of up to 32 MiB in this process's heap.
+
+    By default glibc hands each freed block of a few MB back to the kernel,
+    so every (heads, L, L) attention array is mapped and zero-filled anew on
+    each call.  Both thresholds are set: setting either one turns glibc's
+    dynamic thresholds off and leaves the other at its 128 KiB default,
+    which faults more than glibc's defaults do.  Returns the setting, or None
+    where there is no glibc ``mallopt`` or it refuses a value; the process
+    then keeps its allocator's defaults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if (mallopt(_M_MMAP_THRESHOLD, _HEAP_SETTING["mmap_threshold"]) != 1
+            or mallopt(_M_TRIM_THRESHOLD, _HEAP_SETTING["trim_threshold"]) != 1):
+        return None
+    return dict(_HEAP_SETTING)
+
+
 # the flags that name input files; the manifest hashes each one given
 _INPUT_FLAGS = ("input", "data", "vocab", "dict", "checkpoint", "terms", "weights",
                 "synonyms", "config")
@@ -145,6 +175,7 @@ def _write_manifest(args, settings: dict, outputs: list[str], seed, inputs=()) -
             "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "malloc": args.malloc,
         },
     }
     out_dir = Path(args.out_dir) if hasattr(args, "out_dir") else Path(args.out).parent
@@ -199,7 +230,13 @@ def cmd_icd_build(args) -> int:
     docs = [p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.txt"))]
     if not docs:
         raise ValueError(f"no .txt documents under {corpus_dir}")
-    terms = [t for t in Path(args.terms).read_text(encoding="utf-8").split() if t]
+    terms = []
+    for n, line in enumerate(Path(args.terms).read_text(encoding="utf-8").splitlines(), 1):
+        words = line.split()
+        if len(words) > 1:
+            raise ValueError(f"{args.terms}:{n}: term {line.strip()!r} is {len(words)} words, "
+                             f"not one")
+        terms += words
     weights = load_weights(args.weights) if args.weights else {}
     dictionary = build_dictionary(docs, terms, weights, version=args.version)
     save_dictionary(dictionary, args.out)
@@ -480,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = icd.add_parser("build", help="build a dictionary from a corpus directory")
     p.add_argument("--corpus", required=True, help="directory of .txt documents")
-    p.add_argument("--terms", required=True, help="file of whitespace-separated terms")
+    p.add_argument("--terms", required=True, help="file of terms, one per line")
     p.add_argument("--weights", default=None, help="JSON map term -> scholar weight")
     p.add_argument("--out", required=True)
     p.add_argument("--version", default="built", dest="version")
@@ -564,8 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    malloc = _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.malloc = malloc  # for the manifest
     try:
         if getattr(args, "seed", 0) < 0:  # data synth, data augment, gradcheck
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
