@@ -377,6 +377,12 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _print_cut(encoded: list, max_len: int) -> None:
+    # a cut context is searched in its first window only, so its answer may be lost
+    cut = sum(enc.example.truncated for enc in encoded)
+    print(f"{cut} of {len(encoded)} contexts cut at max_len {max_len}")
+
+
 def cmd_eval(args) -> int:
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
@@ -384,6 +390,7 @@ def cmd_eval(args) -> int:
     dataset = data_mod.load_dataset(args.data)
     encoded, _ = data_mod.encode_dataset(dataset.records, vocab, dictionary,
                                          model.config.max_len)
+    _print_cut(encoded, model.config.max_len)
     report = evaluation.evaluate(model, encoded, ablation=args.ablation, vocab=vocab,
                                  dictionary=dictionary)
     out_dir = Path(args.out_dir)
@@ -464,6 +471,7 @@ def cmd_predict(args) -> int:
     dataset = data_mod.load_dataset(args.data)
     encoded, _ = data_mod.encode_dataset(dataset.records, vocab, dictionary,
                                          model.config.max_len)
+    _print_cut(encoded, model.config.max_len)
     preds = evaluation.predict_all(model, encoded, vocab, ablation=args.ablation)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(preds, fh, indent=1, sort_keys=True)

@@ -77,6 +77,7 @@ class MetricReport:
     embed_score: float        # [0, 1]
     mean_latency_ms: float
     n_examples: int
+    n_truncated: int = 0      # contexts cut at the model's max_len
     concept_em: float | None = None
     variant: str = FULL
     # the decoded predictions behind the scores; not part of the report
@@ -268,6 +269,7 @@ def evaluate(
         embed_score=emb,
         mean_latency_ms=latency_ms,
         n_examples=len(dataset),
+        n_truncated=sum(enc.example.truncated for enc in dataset),
         concept_em=concept_em,
         variant=ablation,
         predictions=preds,

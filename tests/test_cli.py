@@ -369,6 +369,28 @@ class TestTrainEvalPredict:
         preds = json.loads((tmp_path / "eval" / "predictions.json").read_text())
         assert preds[0]["gold_text"] == rec.context
 
+    def test_eval_and_predict_report_contexts_cut_at_max_len(self, workdir, tmp_path, capsys):
+        from conceptqa import data, tokenizer
+        vocab = tokenizer.load_vocab(workdir / "vocab.json")
+        records = data.load_dataset(workdir / "flat.json").records
+        cut = sum(tokenizer.encode_qa(r.question, r.context, vocab, max_len=52).truncated
+                  for r in records)
+        assert 0 < cut < len(records) == 40
+        common = ["--data", str(workdir / "flat.json"), "--vocab", str(workdir / "vocab.json"),
+                  "--dict", str(workdir / "icd.json")]
+        assert main(["train", *common, "--out-dir", str(tmp_path / "run"),
+                     "--config", str(workdir / "config.json"), "--set", "model.max_len=52",
+                     "--set", "model.hidden=8", "--set", "stages.1.epochs=1"]) == 0
+        capsys.readouterr()
+        scoring = [*common, "--checkpoint", str(tmp_path / "run" / "checkpoint.bin")]
+        line = f"{cut} of 40 contexts cut at max_len 52"
+        assert main(["eval", *scoring, "--out-dir", str(tmp_path / "eval")]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert report["n_truncated"] == cut
+        assert main(["predict", *scoring, "--out", str(tmp_path / "preds.json")]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_eval_predictions_match_predict(self, workdir, trained, tmp_path):
         common = ["--checkpoint", str(trained / "checkpoint.bin"),
                   "--data", str(workdir / "flat.json"),

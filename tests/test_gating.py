@@ -186,3 +186,26 @@ class TestGradientCheck:
         x = rng.standard_normal((3, 4))
         err = gradient_check(params, x, np.ones(3), corrupt=1e-3)
         assert err >= 1e-5
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extreme_pre_activations_raise_nothing(self, dtype):
+        # exp(-z) overflows float32 below z = -88; the gate must not compute it
+        b = np.array([1e4, -1e4, 100.0, -100.0, -89.0, 0.0], dtype)
+        params = GateParams(np.zeros((6, 6), dtype), b)
+        with np.errstate(all="raise"):
+            r, cache = gate_forward(np.ones((2, 6), dtype), np.full(2, 2.0, dtype), params)
+        assert cache.gate.dtype == r.dtype == dtype
+        with np.errstate(over="ignore"):  # the float64 reference: exp(1e4) is inf
+            expected = 1.0 / (1.0 + np.exp(-b.astype(np.float64)))
+        np.testing.assert_allclose(cache.gate, np.broadcast_to(expected, (2, 6)),
+                                   rtol=0, atol=1e-15)
+
+    def test_float32_gate_matches_the_float64_logistic(self):
+        z = np.linspace(-100.0, 100.0, 80_000, dtype=np.float32).reshape(-1, 8)
+        params = GateParams(np.eye(8, dtype=np.float32), np.zeros(8, np.float32))
+        _, cache = gate_forward(z, np.ones(len(z), np.float32), params)
+        assert cache.gate.dtype == np.float32
+        expected = 1.0 / (1.0 + np.exp(-z.astype(np.float64)))
+        assert np.max(np.abs(cache.gate - expected)) <= 2.5e-7

@@ -300,6 +300,50 @@ class TestEncoderForward:
         assert np.isfinite(h).all()
 
 
+def gelu_reference(u) -> np.ndarray:
+    """float64 GELU u Φ(u) from ``math.erf``, one value at a time."""
+    return np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+                     for v in np.asarray(u, dtype=np.float64).tolist()])
+
+
+# float32 hidden states against the float64 forward of the same parameters, with
+# ffn.w1 and gate.w scaled 10x so the FFN inputs spread over N(0, 1.9²): at most
+# 8.2e-7 over L = 5, 57, 258 and 383 (8.0e-7 with scipy's float32 erf)
+HIDDEN_F32_ATOL = 3e-6
+
+
+class TestGelu:
+    GRID = np.concatenate([np.linspace(-10.0, 10.0, 200_001), [1e4, -1e4, np.inf, -np.inf]])
+
+    @pytest.mark.parametrize("dtype, rel", [(np.float32, 2e-6), (np.float64, 1e-15)])
+    def test_matches_the_math_erf_gelu(self, dtype, rel):
+        u = self.GRID.astype(dtype)
+        with np.errstate(invalid="ignore"):  # GELU(-inf) = -inf * 0 is NaN, as in the reference
+            out, (_, phi) = M._gelu_fwd(u)
+        assert out.dtype == phi.dtype == dtype
+        expected = gelu_reference(u)
+        np.testing.assert_array_equal(expected[-2:], [np.inf, np.nan])
+        np.testing.assert_array_equal(out[-2:], expected[-2:])
+        scale = np.maximum(1.0, np.abs(u[:-2].astype(np.float64)))
+        assert np.max(np.abs(out[:-2] - expected[:-2]) / scale) <= rel
+
+    def test_float32_hidden_states_match_the_float64_forward(self):
+        cfg = ModelConfig()
+        m64 = build_model(cfg, seed=0, dtype=np.float64)
+        for name in ("layer0.ffn.w1", "layer1.ffn.w1", "gate.w"):
+            m64.params[name] *= 10.0
+        m32 = EncoderModel(config=cfg, seed=0, params={
+            k: v.astype(np.float32) for k, v in m64.params.items()})
+        rng = np.random.default_rng(5)
+        for length in (5, 57, 258, 383):
+            ids = rng.integers(4, cfg.vocab_size, size=length)
+            boost = np.where(rng.random(length) < 0.1, 2.41, 1.0)
+            h32 = encoder_forward(m32, ids, boost.astype(np.float32))
+            h64 = encoder_forward(m64, ids, boost)
+            assert h32.dtype == np.float32
+            assert np.max(np.abs(h32 - h64)) <= HIDDEN_F32_ATOL, length
+
+
 # float32 rounding: a padded batch runs other matmul shapes than one example;
 # the real rows differed from the single forward by at most 5.4e-7 in 200 trials
 PADDED_ATOL = 1e-5
