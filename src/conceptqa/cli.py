@@ -36,7 +36,7 @@ from .dictionary import (
     save_dictionary,
 )
 from .text import read_json_object
-from .tokenizer import load_vocab, save_vocab, train_vocab
+from .tokenizer import DEFAULT_MAX_LEN, load_vocab, save_vocab, train_vocab
 
 # the vocabulary gives model.vocab_size, so no setting does
 DEFAULT_CONFIG = {
@@ -558,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-len", type=int, default=384)
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
     p.set_defaults(func=cmd_data_encode)
     p = data.add_parser("synth", help="generate a synthetic planted-concept fixture")
     p.add_argument("--out", required=True)

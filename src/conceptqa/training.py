@@ -65,16 +65,12 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 3
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         for names, rule, ok in (
-                ("learning_rate effective_batch warmup_steps max_epochs patience eps", "> 0",
+                ("learning_rate effective_batch warmup_steps max_epochs patience", "> 0",
                  lambda v: v > 0),
-                ("beta1 beta2", "in [0, 1)", lambda v: 0 <= v < 1),
                 ("weight_decay seed", ">= 0", lambda v: v >= 0)):
             for name in names.split():
                 if not ok(getattr(self, name)):
@@ -126,6 +122,9 @@ def lr_schedule(step: int, cfg: TrainConfig, total_steps: int) -> float:
     return cfg.learning_rate * (total_steps - step) / (total_steps - cfg.warmup_steps)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def init_optimizer_state(params: dict[str, np.ndarray]) -> dict:
     return {
         "step": 0,
@@ -140,8 +139,9 @@ def optimizer_step(
     state: dict,
     cfg: TrainConfig,
     lr: float,
-) -> tuple[dict[str, np.ndarray], dict]:
-    """One decoupled-weight-decay adaptive-moment update, in place.
+) -> None:
+    """One decoupled-weight-decay adaptive-moment update, in place, with
+    β₁ ``ADAM_BETA1``, β₂ ``ADAM_BETA2`` and ε ``ADAM_EPS``.
 
     Moments are kept per parameter name, made at zero with the name's first
     gradient (``m`` and ``v`` together); parameters without a gradient this
@@ -155,21 +155,20 @@ def optimizer_step(
             raise KeyError(f"gradient for unknown parameter {name!r}")
     state["step"] += 1
     t = state["step"]
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, g in grads.items():
         p = params[name]
         g = g.astype(p.dtype, copy=False)
         if name not in state["m"]:
             state["m"][name], state["v"][name] = np.zeros_like(p), np.zeros_like(p)
         m, v = state["m"][name], state["v"][name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= lr * (update + cfg.weight_decay * p)
-    return params, state
 
 
 # ---------------------------------------------------------------------------

@@ -755,9 +755,9 @@ class TestExitCodes:
          "unknown setting key 'stages.0.boost_enabled'"),
         ("train.seed=-1", "setting train: seed must be >= 0, got -1"),
         ("split.seed=-1", "setting split: seed must be >= 0, got -1"),
-        ("train.beta1=1.0", "setting train: beta1 must be in [0, 1), got 1.0"),
-        ("train.beta2=2.0", "setting train: beta2 must be in [0, 1), got 2.0"),
-        ("train.eps=-1", "setting train: eps must be > 0, got -1"),
+        ("train.beta1=0.9", "error: unknown setting key 'train.beta1'"),
+        ("train.beta2=0.999", "error: unknown setting key 'train.beta2'"),
+        ("train.eps=1e-8", "error: unknown setting key 'train.eps'"),
         ("train.weight_decay=-5", "setting train: weight_decay must be >= 0, got -5"),
         ("model=3", "setting model must be an object, got 3"),
         ("train=3", "setting train must be an object, got 3"),
@@ -841,6 +841,7 @@ class TestExitCodes:
         ('{"train": {"learning_rate": Infinity}}',
          "setting 'train.learning_rate' must be finite, got inf"),
         ('{"model": {"vocab_size": 7}}', "unknown setting key 'model.vocab_size'"),
+        ('{"train": {"beta1": 0.9}}', "unknown setting key 'train.beta1'"),
     ])
     def test_bad_config_file_is_one(self, workdir, tmp_path, capsys, raw, message):
         path = tmp_path / "config.json"
@@ -1042,7 +1043,8 @@ class TestExitCodes:
         ("model.lora_alpha=-16", "setting model: lora_alpha must be > 0, got -16"),
         ("train.weight_decay=Infinity",
          "setting 'train.weight_decay' must be finite, got inf"),
-        ("train.eps=Infinity", "setting 'train.eps' must be finite, got inf"),
+        ("train.learning_rate=Infinity",
+         "setting 'train.learning_rate' must be finite, got inf"),
     ])
     def test_non_finite_or_negative_setting_is_one(self, workdir, tmp_path, capsys,
                                                    override, message):

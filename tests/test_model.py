@@ -327,6 +327,16 @@ class TestGelu:
         scale = np.maximum(1.0, np.abs(u[:-2].astype(np.float64)))
         assert np.max(np.abs(out[:-2] - expected[:-2]) / scale) <= rel
 
+    def test_float64_erf_is_math_erf(self):
+        # bit for bit, ±0 and nan included; 0.46875 is the region edge of Cody's
+        # float64 rationals, and erf rounds to ±1 from about ±6
+        x = np.concatenate([np.linspace(-30.0, 30.0, 60_001),
+                            [0.0, -0.0, 0.46875, -0.46875, 6.0, -6.0, np.inf, -np.inf, np.nan]])
+        out = M._erf(x)
+        assert out.dtype == np.float64 and out.shape == x.shape
+        expected = np.array([math.erf(v) for v in x.tolist()])
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+
     def test_float32_hidden_states_match_the_float64_forward(self):
         cfg = ModelConfig()
         m64 = build_model(cfg, seed=0, dtype=np.float64)

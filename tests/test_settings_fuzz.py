@@ -72,8 +72,8 @@ def _in_range(s: cli._Settings) -> bool:
             and m.boost_mode in (BOOST_RESIDUAL, BOOST_ATTENTION, BOOST_OFF)
             and type(m.residual_skip) is bool
             and min(t.learning_rate, t.effective_batch, t.warmup_steps, t.max_epochs,
-                    t.patience, t.eps) > 0
-            and 0 <= t.beta1 < 1 and 0 <= t.beta2 < 1 and t.weight_decay >= 0 and t.seed >= 0
+                    t.patience) > 0
+            and t.weight_decay >= 0 and t.seed >= 0
             and all(stage.epochs >= 0 and set(stage.trainable) <= set(ADAPTABLE_GROUPS)
                     and stage.boost_enabled == (stage.stage == STAGE_SPECIALIZATION)
                     for stage in s.stages)
