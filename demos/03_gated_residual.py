@@ -30,11 +30,10 @@ print(f"  max |R - X| with b_g = -40: {np.max(np.abs(r_closed - x)):.2e}")
 
 print("\n=== exact backward pass ===")
 upstream = np.ones_like(r)
-grads = gate_backward(upstream, cache, params)
-print(f"  dX shape {grads.dx.shape}, dW_g shape {grads.dw.shape}, "
-      f"db_g shape {grads.db.shape}")
+dx, dw, db = gate_backward(upstream, cache, params)
+print(f"  dX shape {dx.shape}, dW_g shape {dw.shape}, db_g shape {db.shape}")
 print(f"  the skip connection contributes dR unchanged: "
-      f"min |dX| = {np.min(np.abs(grads.dx)):.3f} (never vanishes)")
+      f"min |dX| = {np.min(np.abs(dx)):.3f} (never vanishes)")
 
 print("\n=== finite-difference verification ===")
 for eps in (1e-3, 1e-4, 1e-5):

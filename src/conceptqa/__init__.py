@@ -21,7 +21,7 @@ from .dictionary import (
     load_dictionary,
     save_dictionary,
 )
-from .gating import GateCache, GateGrads, GateParams, gate_backward, gate_forward, gradient_check
+from .gating import GateParams, gate_backward, gate_forward, gradient_check
 from .model import (
     EncoderModel,
     ModelConfig,

@@ -28,14 +28,8 @@ import numpy as np
 from . import __version__
 from . import data as data_mod
 from . import evaluation, gating, model as model_mod, synthetic, training
-from .dictionary import (
-    DictionaryError,
-    build_dictionary,
-    load_dictionary,
-    load_weights,
-    save_dictionary,
-)
-from .text import read_json_object
+from .dictionary import build_dictionary, load_dictionary, load_weights, save_dictionary
+from .text import read_json_object, write_json
 from .tokenizer import DEFAULT_MAX_LEN, load_vocab, save_vocab, train_vocab
 
 # the vocabulary gives model.vocab_size, so no setting does
@@ -180,9 +174,7 @@ def _write_manifest(args, settings: dict, outputs: list[str], seed, inputs=()) -
     }
     out_dir = Path(args.out_dir) if hasattr(args, "out_dir") else Path(args.out).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest, indent=2, sort_keys=True)
 
 
 def _open_checkpoint(path, vocab, dictionary, vocab_path) -> model_mod.EncoderModel:
@@ -377,20 +369,24 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _print_cut(encoded: list, max_len: int) -> None:
-    # a cut context is searched in its first window only, so its answer may be lost
-    cut = sum(enc.example.truncated for enc in encoded)
-    print(f"{cut} of {len(encoded)} contexts cut at max_len {max_len}")
-
-
-def cmd_eval(args) -> int:
+def _scoring_inputs(args) -> tuple:
+    """(vocab, dictionary, model, encoded) for ``eval`` and ``predict``: the
+    checkpoint opened against the vocabulary and dictionary, and ``--data``
+    encoded at its ``max_len``, with the count of contexts cut printed."""
     vocab = load_vocab(args.vocab)
     dictionary = load_dictionary(args.dict)
     model = _open_checkpoint(args.checkpoint, vocab, dictionary, args.vocab)
     dataset = data_mod.load_dataset(args.data)
-    encoded, _ = data_mod.encode_dataset(dataset.records, vocab, dictionary,
-                                         model.config.max_len)
-    _print_cut(encoded, model.config.max_len)
+    max_len = model.config.max_len
+    encoded, _ = data_mod.encode_dataset(dataset.records, vocab, dictionary, max_len)
+    # a cut context is searched in its first window only, so its answer may be lost
+    cut = sum(enc.example.truncated for enc in encoded)
+    print(f"{cut} of {len(encoded)} contexts cut at max_len {max_len}")
+    return vocab, dictionary, model, encoded
+
+
+def cmd_eval(args) -> int:
+    vocab, dictionary, model, encoded = _scoring_inputs(args)
     report = evaluation.evaluate(model, encoded, ablation=args.ablation, vocab=vocab,
                                  dictionary=dictionary)
     out_dir = Path(args.out_dir)
@@ -398,9 +394,7 @@ def cmd_eval(args) -> int:
     report.to_json(out_dir / "report.json")
     table = evaluation.format_report_table([report])
     (out_dir / "report.txt").write_text(table + "\n", encoding="utf-8")
-    with open(out_dir / "predictions.json", "w", encoding="utf-8") as fh:
-        json.dump(report.predictions, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "predictions.json", report.predictions, indent=1, sort_keys=True)
     print(table)
     _write_manifest(args, {"ablation": args.ablation},
                     [str(out_dir / p) for p in ("report.json", "report.txt",
@@ -450,9 +444,8 @@ def cmd_ablate(args) -> int:
     table = evaluation.format_report_table(reports, ablation_style=True)
     print(table)
     (out_dir / "ablation.txt").write_text(table + "\n", encoding="utf-8")
-    with open(out_dir / "ablation.json", "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "ablation.json", [r.to_dict() for r in reports], indent=2,
+               sort_keys=True)
     # each variant's model as it ran: its checkpoint's, or the ablated model
     # section; loaded checkpoints ran no training and carry their own seeds
     ran = {**dataclasses.asdict(settings), "model": configs}
@@ -465,17 +458,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    vocab = load_vocab(args.vocab)
-    dictionary = load_dictionary(args.dict)
-    model = _open_checkpoint(args.checkpoint, vocab, dictionary, args.vocab)
-    dataset = data_mod.load_dataset(args.data)
-    encoded, _ = data_mod.encode_dataset(dataset.records, vocab, dictionary,
-                                         model.config.max_len)
-    _print_cut(encoded, model.config.max_len)
+    vocab, _, model, encoded = _scoring_inputs(args)
     preds = evaluation.predict_all(model, encoded, vocab, ablation=args.ablation)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(preds, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, preds, indent=1, sort_keys=True)
     print(f"wrote {len(preds)} predictions -> {args.out}")
     _write_manifest(args, {"ablation": args.ablation}, [args.out], seed=model.seed)
     return 0
@@ -617,7 +602,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # data synth, data augment, gradcheck
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, DictionaryError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import ConceptDictionary
-from .text import _field, _items, read_json_object
+from .text import _field, _items, read_json_object, write_json
 from .tokenizer import (
     DEFAULT_MAX_LEN,
     TokenizedExample,
@@ -151,7 +151,7 @@ def save_dataset(data: DatasetFile, path: str | Path) -> None:
         "rejected": data.rejected,
         "records": [r.to_dict() for r in data.records],
     }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    write_json(path, payload, indent=1)
 
 
 _RECORD_FIELDS = (("id", (str,)), ("question", (str,)), ("context", (str,)),

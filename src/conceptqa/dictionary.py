@@ -9,14 +9,13 @@ ships with the package (``builtin_dictionary``).
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .text import _field, _items, normalize_text, normalize_words, read_json_object
+from .text import _field, _items, normalize_text, normalize_words, read_json_object, write_json
 
 log = logging.getLogger(__name__)
 
@@ -199,7 +198,7 @@ def save_dictionary(dictionary: ConceptDictionary, path: str | Path) -> None:
         "version": dictionary.version,
         "entries": [asdict(e) for e in dictionary.entries.values()],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload, indent=2)
 
 
 def _dictionary_from_payload(payload: dict) -> ConceptDictionary:

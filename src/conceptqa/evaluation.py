@@ -11,7 +11,6 @@ runs alone.  Results come back in input order.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ from .model import (
     predict_span,
     span_logits,
 )
+from .text import write_json
 from .tokenizer import Vocab
 
 FULL = "full"
@@ -88,9 +88,7 @@ class MetricReport:
                 if f.name != "predictions"}
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict(), indent=2, sort_keys=True)
 
 
 def _forward_rows(model: EncoderModel, rows: list[tuple[np.ndarray, np.ndarray]]) -> list:

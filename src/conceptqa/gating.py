@@ -40,21 +40,6 @@ class GateParams:
         return self.w.shape[0]
 
 
-@dataclass
-class GateCache:
-    x: np.ndarray      # (L, d) input
-    gate: np.ndarray   # (L, d) sigmoid activations
-    boost: np.ndarray  # (L,)
-    skip: bool = True
-
-
-@dataclass
-class GateGrads:
-    dx: np.ndarray  # (L, d)
-    dw: np.ndarray  # (d, d)
-    db: np.ndarray  # (d,)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)), in place in z, as 0.5 + 0.5 tanh(z / 2): no overflow."""
     z *= 0.5
@@ -69,8 +54,10 @@ def gate_forward(
     boost: np.ndarray,
     params: GateParams,
     skip: bool = True,
-) -> tuple[np.ndarray, GateCache]:
-    """Apply the gated residual block; returns (R, cache for backward).
+) -> tuple[np.ndarray, tuple]:
+    """Apply the gated residual block; returns ``(R, (X, G, M, skip))``, the
+    output and the cache ``gate_backward`` reads: input (L, d), gate
+    activations (L, d), boost (L,) and the skip flag.
 
     ``skip=False`` removes the residual connection (R = G * (X * M)), which
     is the "no residual" ablation path.
@@ -89,11 +76,12 @@ def gate_forward(
     gate = _sigmoid(x @ params.w + params.b)
     boosted = gate * (x * boost[:, None])
     r = x + boosted if skip else boosted
-    return r, GateCache(x=x, gate=gate, boost=boost, skip=skip)
+    return r, (x, gate, boost, skip)
 
 
-def gate_backward(dr: np.ndarray, cache: GateCache, params: GateParams) -> GateGrads:
-    """Exact gradients of the gated residual block.
+def gate_backward(dr: np.ndarray, cache: tuple, params: GateParams) -> tuple:
+    """Exact gradients ``(dX, dW_g, db_g)`` of the gated residual block, from
+    the cache of ``gate_forward``.
 
     With U = X * M[:, None] and Z the pre-sigmoid activations:
 
@@ -107,7 +95,7 @@ def gate_backward(dr: np.ndarray, cache: GateCache, params: GateParams) -> GateG
     the skip connection).
     """
     dr = np.asarray(dr)
-    x, gate, boost = cache.x, cache.gate, cache.boost
+    x, gate, boost, skip = cache
     if dr.shape != x.shape:
         raise ValueError(f"dR shape {dr.shape} does not match cached input {x.shape}")
     if gate.shape[1] != params.d:
@@ -116,9 +104,9 @@ def gate_backward(dr: np.ndarray, cache: GateCache, params: GateParams) -> GateG
     u = x * boost[:, None]
     dz = dr * u * gate * (1.0 - gate)
     dx = dr * gate * boost[:, None] + dz @ params.w.T
-    if cache.skip:
+    if skip:
         dx = dx + dr
-    return GateGrads(dx=dx, dw=x.T @ dz, db=dz.sum(axis=0))
+    return dx, x.T @ dz, dz.sum(axis=0)
 
 
 def _relative_error(analytic: float, numeric: float) -> float:
@@ -151,17 +139,14 @@ def gradient_check(
     params = GateParams(params.w.astype(np.float64), params.b.astype(np.float64))
 
     r, cache = gate_forward(x, boost, params, skip=skip)
-    grads = gate_backward(np.ones_like(r), cache, params)
-    if corrupt:
-        grads = GateGrads(grads.dx + corrupt, grads.dw + corrupt, grads.db + corrupt)
+    grads = [g + corrupt for g in gate_backward(np.ones_like(r), cache, params)]
 
     def loss(xv, wv, bv):
         out, _ = gate_forward(xv, boost, GateParams(wv, bv), skip=skip)
         return float(out.sum())
 
     worst = 0.0
-    tensors = [(x, grads.dx), (params.w, grads.dw), (params.b, grads.db)]
-    for tensor, analytic in tensors:
+    for tensor, analytic in zip((x, params.w, params.b), grads):
         flat = tensor.reshape(-1)
         aflat = analytic.reshape(-1)
         for i in range(flat.size):

@@ -593,13 +593,12 @@ def encoder_backward(model: EncoderModel, dh: np.ndarray, caches: dict) -> dict[
         du = _gelu_bwd(dact, c["gelu"])
         dgated = dsum2 + du @ params[f"layer{layer}.ffn.w1"].T
         if gate is not None:
-            ggrads = gating.gate_backward(dgated, c["gate"], gate)
+            dh1, dw, db = gating.gate_backward(dgated, c["gate"], gate)
             if "gate.w" in grads:  # the shared gate's gradient sums over layers
-                grads["gate.w"] += ggrads.dw
-                grads["gate.b"] += ggrads.db
+                grads["gate.w"] += dw
+                grads["gate.b"] += db
             else:
-                grads["gate.w"], grads["gate.b"] = ggrads.dw, ggrads.db
-            dh1 = ggrads.dx
+                grads["gate.w"], grads["gate.b"] = dw, db
         else:
             dh1 = dgated
         dsum1 = _layernorm_bwd(dh1, c["ln1"])

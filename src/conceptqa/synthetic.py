@@ -11,13 +11,13 @@ about 15.1 words).
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
 from .data import DatasetFile, DatasetRecord
+from .text import write_json
 
 CONCEPT_AGENTS = [
     "allah", "messenger", "hadith", "prophet", "prayer", "umar",
@@ -173,6 +173,5 @@ def to_squad_payload(data: DatasetFile) -> dict:
 
 
 def write_squad(data: DatasetFile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_squad_payload(data), indent=1) + "\n",
-                          encoding="utf-8")
+    write_json(path, to_squad_payload(data), indent=1)
 

@@ -1,4 +1,5 @@
-"""Text normalization and the reader of JSON input files, shared across the package.
+"""Text normalization, the reader of JSON input files and the writer of JSON
+output files, shared across the package.
 
 Normalization is deliberately simple and deterministic: lowercase, map a small
 transliteration table (so e.g. "Ṣaḥīḥ" and "sahih" compare equal), turn
@@ -76,6 +77,12 @@ def read_json_object(path: Path, parse, error: type[ValueError] = ValueError):
         raise error(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:
         raise error(f"{path}: {exc}") from exc
+
+
+def write_json(path, payload, indent: int, sort_keys: bool = False) -> None:
+    """Write ``payload`` to file ``path`` as UTF-8 JSON ending in one newline."""
+    Path(path).write_text(json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n",
+                          encoding="utf-8")
 
 
 _REQUIRED = object()

@@ -14,7 +14,6 @@ source word so that a word-level boost factor can be spread over its pieces.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import ConceptDictionary
-from .text import normalize_words, read_json_object, words_with_spans
+from .text import normalize_words, read_json_object, words_with_spans, write_json
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
@@ -115,8 +114,7 @@ class Vocab:
 
 
 def save_vocab(vocab: Vocab, path) -> None:
-    Path(path).write_text(json.dumps({"pieces": vocab.pieces}, indent=0) + "\n",
-                          encoding="utf-8")
+    write_json(path, {"pieces": vocab.pieces}, indent=0)
 
 
 def load_vocab(path) -> Vocab:

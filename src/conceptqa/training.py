@@ -126,11 +126,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def init_optimizer_state(params: dict[str, np.ndarray]) -> dict:
-    return {
-        "step": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
-    }
+    """A fresh AdamW state for ``params``; ``optimizer_step`` makes each
+    tensor's moments with its first gradient."""
+    return {"step": 0, "m": {}, "v": {}}
 
 
 def optimizer_step(

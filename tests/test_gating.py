@@ -38,7 +38,7 @@ class TestForward:
     def test_closed_form_scalar(self):
         params = GateParams(np.zeros((1, 1)), np.zeros(1))
         r, cache = gate_forward(np.array([[1.0]]), np.array([3.0]), params)
-        assert cache.gate[0, 0] == pytest.approx(0.5)
+        assert cache[1][0, 0] == pytest.approx(0.5)
         assert r[0, 0] == pytest.approx(2.5)
 
     def test_matches_scalar_loop_oracle(self):
@@ -89,18 +89,18 @@ class TestBackward:
         x = rng.standard_normal((4, 4))
         params = GateParams(rng.standard_normal((4, 4)) * 0.02, np.zeros(4))
         _, cache = gate_forward(x, np.full(4, 2.0), params)
-        grads = gate_backward(np.zeros_like(x), cache, params)
-        assert np.all(grads.dx == 0) and np.all(grads.dw == 0) and np.all(grads.db == 0)
+        dx, dw, db = gate_backward(np.zeros_like(x), cache, params)
+        assert np.all(dx == 0) and np.all(dw == 0) and np.all(db == 0)
 
     def test_scalar_hand_chain_rule(self):
         params = GateParams(np.zeros((1, 1)), np.zeros(1))
         _, cache = gate_forward(np.array([[1.0]]), np.array([3.0]), params)
-        grads = gate_backward(np.array([[1.0]]), cache, params)
+        dx, dw, db = gate_backward(np.array([[1.0]]), cache, params)
         # dX = 1 + G * M + X * M * G(1-G) * W = 1 + 1.5 + 0
-        assert grads.dx[0, 0] == pytest.approx(2.5)
+        assert dx[0, 0] == pytest.approx(2.5)
         # dW = X * dZ = X * (dR * U * G(1-G)) = 1 * 3 * 0.25
-        assert grads.dw[0, 0] == pytest.approx(0.75)
-        assert grads.db[0] == pytest.approx(0.75)
+        assert dw[0, 0] == pytest.approx(0.75)
+        assert db[0] == pytest.approx(0.75)
 
     def test_hundred_random_instances_match_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -121,8 +121,8 @@ class TestBackward:
         params = GateParams(np.zeros((6, 6)), np.full(6, -40.0))
         _, cache = gate_forward(x, np.full(5, 3.0), params)
         dr = rng.standard_normal((5, 6))
-        grads = gate_backward(dr, cache, params)
-        assert np.max(np.abs(grads.dx - dr)) < 1e-12
+        dx, _, _ = gate_backward(dr, cache, params)
+        assert np.max(np.abs(dx - dr)) < 1e-12
 
     def test_cache_mismatch_errors(self):
         params = GateParams(np.zeros((4, 4)), np.zeros(4))
@@ -196,16 +196,16 @@ class TestSigmoid:
         params = GateParams(np.zeros((6, 6), dtype), b)
         with np.errstate(all="raise"):
             r, cache = gate_forward(np.ones((2, 6), dtype), np.full(2, 2.0, dtype), params)
-        assert cache.gate.dtype == r.dtype == dtype
+        assert cache[1].dtype == r.dtype == dtype
         with np.errstate(over="ignore"):  # the float64 reference: exp(1e4) is inf
             expected = 1.0 / (1.0 + np.exp(-b.astype(np.float64)))
-        np.testing.assert_allclose(cache.gate, np.broadcast_to(expected, (2, 6)),
+        np.testing.assert_allclose(cache[1], np.broadcast_to(expected, (2, 6)),
                                    rtol=0, atol=1e-15)
 
     def test_float32_gate_matches_the_float64_logistic(self):
         z = np.linspace(-100.0, 100.0, 80_000, dtype=np.float32).reshape(-1, 8)
         params = GateParams(np.eye(8, dtype=np.float32), np.zeros(8, np.float32))
         _, cache = gate_forward(z, np.ones(len(z), np.float32), params)
-        assert cache.gate.dtype == np.float32
+        assert cache[1].dtype == np.float32
         expected = 1.0 / (1.0 + np.exp(-z.astype(np.float64)))
-        assert np.max(np.abs(cache.gate - expected)) <= 2.5e-7
+        assert np.max(np.abs(cache[1] - expected)) <= 2.5e-7

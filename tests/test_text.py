@@ -4,11 +4,14 @@ Its words and ``normalize_text``'s string equal the two-regex reference in
 ``text_reference.py`` on text drawn from every whitespace code point up to
 U+3000, punctuation, the transliteration keys, combining marks and word
 characters.  Boost vectors of encoded examples read the tokenizer's already
-normalized words without normalizing them again.
+normalized words without normalizing them again.  ``write_json`` writes
+exactly ``json.dumps`` and one newline, in UTF-8.
 """
 
+import json
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import text_reference as ref
@@ -50,3 +53,15 @@ def test_build_boost_vector_does_not_normalize(tiny_encoded, builtin_dict, monke
         boosted += int((boost > 1.0).any())
     assert boosted > 0
     assert calls == []
+
+
+@pytest.mark.parametrize("sort_keys", [False, True])
+@pytest.mark.parametrize("indent", [0, 1, 2])
+def test_write_json_writes_dumps_and_one_newline(tmp_path, indent, sort_keys):
+    payload = {"\u1e63a\u1e25\u012b\u1e25": ["\u02bfilm", 1.5, None, True],
+               "a": {"z": "\u0639", "b": 2}, "": []}
+    path = tmp_path / "out.json"
+    text.write_json(path, payload, indent, sort_keys=sort_keys)
+    want = json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+    assert text.read_json_object(path, dict) == payload
