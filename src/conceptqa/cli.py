@@ -8,7 +8,8 @@ seed, input hashes, tool version, environment) next to its outputs.  On
 glibc, ``main`` first keeps freed heap blocks in the process
 (``_keep_freed_heap``), which only the command line does.
 
-Exit codes: 0 success, 1 validation failure, 2 runtime error.
+Exit codes: 0 success, 1 validation failure or a path that cannot be read or
+written, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -173,7 +174,6 @@ def _write_manifest(args, settings: dict, outputs: list[str], seed, inputs=()) -
         },
     }
     out_dir = Path(args.out_dir) if hasattr(args, "out_dir") else Path(args.out).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "manifest.json", manifest, indent=2, sort_keys=True)
 
 
@@ -268,7 +268,6 @@ def cmd_data_split(args) -> int:
     dataset = data_mod.load_dataset(args.input)
     train, val, test = data_mod.split_dataset(dataset, split.ratios, split.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for name, records in (("train", train), ("val", val), ("test", test)):
         path = out_dir / f"{name}.json"
@@ -390,7 +389,6 @@ def cmd_eval(args) -> int:
     report = evaluation.evaluate(model, encoded, ablation=args.ablation, vocab=vocab,
                                  dictionary=dictionary)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report.to_json(out_dir / "report.json")
     table = evaluation.format_report_table([report])
     (out_dir / "report.txt").write_text(table + "\n", encoding="utf-8")
@@ -451,8 +449,10 @@ def cmd_ablate(args) -> int:
     ran = {**dataclasses.asdict(settings), "model": configs}
     if not args.train_first:
         del ran["train"], ran["stages"]
+    trained = ([f"checkpoint-{variant}.bin" for variant in evaluation.ABLATION_VARIANTS]
+               if args.train_first else [])
     _write_manifest(args, ran,
-                    [str(out_dir / "ablation.txt"), str(out_dir / "ablation.json")],
+                    [str(out_dir / p) for p in (*trained, "ablation.txt", "ablation.json")],
                     seed=settings.train.seed if args.train_first else seeds, inputs=loaded)
     return 0
 
@@ -602,7 +602,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # data synth, data augment, gradcheck
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001

@@ -259,7 +259,9 @@ def encode_dataset(
 
 
 def dump_encoded_jsonl(encoded: list[EncodedExample], path: str | Path) -> None:
-    """One JSON object per line; segment flags 0=special, 1=question, 2=context."""
+    """One JSON object per line; segment flags 0=special, 1=question, 2=context.
+    The file's directory is made if it is missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for enc in encoded:
             row = {f.name: getattr(enc.example, f.name)

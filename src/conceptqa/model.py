@@ -357,7 +357,7 @@ def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None
     """
     nh, dh = config.heads, config.head_dim
     scale = config.lora_scale
-    seq_len, d = h.shape[-2:]
+    d = h.shape[-1]
     n = h.size // d  # rows over the whole batch
     flat = h.reshape(n, d)
     rel = params[f"layer{layer}.attn.rel_table"]
@@ -399,28 +399,23 @@ def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None
     out, co = _lin_fwd(ctx, wo, ao, bbo, scale)
     out += bo
 
-    cache = dict(
-        layer=layer, seq_len=seq_len, score_boost=score_boost, runs=runs,
-        qh=qh, kh=kh, vh=vh, qrh=qrh, krh=krh, prob=prob,
-        cq=cq, ck=ck, cv=cv, co=co,
-    )
-    return out.reshape(h.shape), cache
+    return out.reshape(h.shape), (qh, kh, vh, qrh, krh, prob, cq, ck, cv, co)
 
 
-def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
+def _attention_bwd(dout, cache, params, layer, config: ModelConfig, runs, score_boost):
+    """(dh, the (lora_a, lora_b) gradients of q, k, v and o) of one example;
+    ``runs`` and ``score_boost`` are the ones its forward took."""
     nh, dh = config.heads, config.head_dim
     scale = config.lora_scale
-    layer = cache["layer"]
-    seq_len = cache["seq_len"]
-    qh, kh, vh = cache["qh"], cache["kh"], cache["vh"]
-    qrh, krh, prob = cache["qrh"], cache["krh"], cache["prob"]
+    qh, kh, vh, qrh, krh, prob, cq, ck, cv, co = cache
+    seq_len = qh.shape[-2]
 
     wq, _, aq, bbq = _attn_params(params, layer, "q")
     wk, _, ak, bbk = _attn_params(params, layer, "k")
     wv, _, av, bbv = _attn_params(params, layer, "v")
     wo, _, ao, bbo = _attn_params(params, layer, "o")
 
-    dctx2, dao, dbbo = _lin_bwd(dout, wo, ao, bbo, scale, cache["co"])
+    dctx2, dao, dbbo = _lin_bwd(dout, wo, ao, bbo, scale, co)
     dctx = _split_heads(dctx2, nh)
 
     # softmax adjoint in place: ds = prob * (dprob - rowsum(dprob * prob))
@@ -428,8 +423,8 @@ def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
     dvh = prob.transpose(0, 2, 1) @ dctx
     ds -= np.einsum("hij,hij->hi", ds, prob)[..., None]
     ds *= prob
-    if cache["score_boost"] is not None:
-        ds *= cache["score_boost"][None, None, :]
+    if score_boost is not None:
+        ds *= score_boost[None, None, :]
     ds /= math.sqrt(3.0 * dh)
 
     # content-content
@@ -440,7 +435,6 @@ def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
     # start below L² and gives an empty run one cell, not 0: clip the starts and
     # zero the empty runs.  The clip is exact: at m >= 1 only the runs after the
     # last row's diagonal bin, itself one cell, start at L²; at m = 0 none does.
-    runs = cache["runs"]
     starts = np.minimum(np.cumsum(runs) - runs, seq_len * seq_len - 1)
     nonempty = runs > 0
     da_c2p = np.add.reduceat(ds.reshape(nh, -1), starts, axis=1) * nonempty
@@ -456,16 +450,11 @@ def _attention_bwd(dout, cache, params, config: ModelConfig, grads):
     # the relative table is frozen: its rows feed only the LoRA gradients
     dq = _merge_heads(np.concatenate([dqh, dqrh], axis=1))
     dk = _merge_heads(np.concatenate([dkh, dkrh], axis=1))
-    dh_q, daq, dbbq = _lin_bwd(dq, wq, aq, bbq, scale, cache["cq"])
-    dh_k, dak, dbbk = _lin_bwd(dk, wk, ak, bbk, scale, cache["ck"])
-    dh_v, dav, dbbv = _lin_bwd(_merge_heads(dvh), wv, av, bbv, scale, cache["cv"])
-
-    pre = f"layer{layer}.attn."
-    grads.update({pre + "q.lora_a": daq, pre + "q.lora_b": dbbq,
-                  pre + "k.lora_a": dak, pre + "k.lora_b": dbbk,
-                  pre + "v.lora_a": dav, pre + "v.lora_b": dbbv,
-                  pre + "o.lora_a": dao, pre + "o.lora_b": dbbo})
-    return dh_q[:seq_len] + dh_k[:seq_len] + dh_v
+    dh_q, daq, dbbq = _lin_bwd(dq, wq, aq, bbq, scale, cq)
+    dh_k, dak, dbbk = _lin_bwd(dk, wk, ak, bbk, scale, ck)
+    dh_v, dav, dbbv = _lin_bwd(_merge_heads(dvh), wv, av, bbv, scale, cv)
+    return (dh_q[:seq_len] + dh_k[:seq_len] + dh_v,
+            ((daq, dbbq), (dak, dbbk), (dav, dbbv), (dao, dbbo)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +501,9 @@ def encoder_forward(
     return_caches: bool = False,
     lengths: np.ndarray | None = None,
 ):
-    """Run the full encoder stack; returns final hidden states (L, d).
+    """Run the full encoder stack; returns final hidden states (L, d), and with
+    ``return_caches`` the caches (flags, gate, runs, score_boost, layers), each
+    layer's (attn, ln1, gate, gelu, ln2).
 
     Per layer: disentangled attention -> residual + LayerNorm -> concept gate
     (by gate/boost mode) -> FFN -> residual + LayerNorm.
@@ -548,7 +539,7 @@ def encoder_forward(
     gate_boost = gate_boost.reshape(-1)
     # one concept gate, shared by every layer
     gate = None if cfg.gate_mode == GATE_OFF else GateParams(params["gate.w"], params["gate.b"])
-    caches = {"flags": flags, "gate": gate, "layers": []}
+    layers = []
     runs = _rel_runs(shape[-2], cfg.max_rel_distance)
 
     for layer in range(cfg.layers):
@@ -569,31 +560,29 @@ def encoder_forward(
             gated + ffn_out, params[f"layer{layer}.ln2.gamma"], params[f"layer{layer}.ln2.beta"]
         )
         if return_caches:  # else each layer's activations are freed as the next runs
-            caches["layers"].append(
-                dict(attn=attn_cache, ln1=ln1_cache, gate=gate_cache,
-                     gelu=gelu_cache, gated=gated, ln2=ln2_cache)
-            )
+            layers.append((attn_cache, ln1_cache, gate_cache, gelu_cache, ln2_cache))
     h = h.reshape(shape)
     if return_caches:
-        return h, caches
+        return h, (flags, gate, runs, score_boost, layers)
     return h
 
 
-def encoder_backward(model: EncoderModel, dh: np.ndarray, caches: dict) -> dict[str, np.ndarray]:
-    """Backpropagate dL/dh through the stack; returns grads for adaptable params."""
+def encoder_backward(model: EncoderModel, dh: np.ndarray, caches) -> dict[str, np.ndarray]:
+    """Backpropagate dL/dh through the stack; returns grads for adaptable params:
+    the gate's, each layer's LoRA pairs from the last layer down, the domain term's."""
     cfg = model.config
     params = model.params
     grads: dict[str, np.ndarray] = {}
-    gate = caches["gate"]
+    flags, gate, runs, score_boost, layers = caches
 
     for layer in reversed(range(cfg.layers)):
-        c = caches["layers"][layer]
-        dsum2 = _layernorm_bwd(dh, c["ln2"])
+        attn_cache, ln1_cache, gate_cache, gelu_cache, ln2_cache = layers[layer]
+        dsum2 = _layernorm_bwd(dh, ln2_cache)
         dact = dsum2 @ params[f"layer{layer}.ffn.w2"].T
-        du = _gelu_bwd(dact, c["gelu"])
+        du = _gelu_bwd(dact, gelu_cache)
         dgated = dsum2 + du @ params[f"layer{layer}.ffn.w1"].T
         if gate is not None:
-            dh1, dw, db = gating.gate_backward(dgated, c["gate"], gate)
+            dh1, dw, db = gating.gate_backward(dgated, gate_cache, gate)
             if "gate.w" in grads:  # the shared gate's gradient sums over layers
                 grads["gate.w"] += dw
                 grads["gate.b"] += db
@@ -601,10 +590,14 @@ def encoder_backward(model: EncoderModel, dh: np.ndarray, caches: dict) -> dict[
                 grads["gate.w"], grads["gate.b"] = dw, db
         else:
             dh1 = dgated
-        dsum1 = _layernorm_bwd(dh1, c["ln1"])
-        dh = dsum1 + _attention_bwd(dsum1, c["attn"], params, cfg, grads)
+        dsum1 = _layernorm_bwd(dh1, ln1_cache)
+        dx, lora = _attention_bwd(dsum1, attn_cache, params, layer, cfg, runs, score_boost)
+        dh = dsum1 + dx
+        for proj, (da, dbb) in zip("qkvo", lora):
+            grads[f"layer{layer}.attn.{proj}.lora_a"] = da
+            grads[f"layer{layer}.attn.{proj}.lora_b"] = dbb
 
-    dv = dh[caches["flags"]].sum(axis=0)
+    dv = dh[flags].sum(axis=0)
     grads["embed.domain_projection"] = np.outer(dv, params["embed.domain_vector"])
     grads["embed.domain_vector"] = params["embed.domain_projection"].T @ dv
     return grads

@@ -80,9 +80,12 @@ def read_json_object(path: Path, parse, error: type[ValueError] = ValueError):
 
 
 def write_json(path, payload, indent: int, sort_keys: bool = False) -> None:
-    """Write ``payload`` to file ``path`` as UTF-8 JSON ending in one newline."""
-    Path(path).write_text(json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n",
-                          encoding="utf-8")
+    """Write ``payload`` to file ``path`` as UTF-8 JSON ending in one newline,
+    making the file's directory if it is missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n",
+                    encoding="utf-8")
 
 
 _REQUIRED = object()

@@ -677,6 +677,9 @@ class TestTrainEvalPredict:
             assert (out_dir / f"checkpoint-{variant}.bin").is_file()
         reports = json.loads((out_dir / "ablation.json").read_text())
         assert len(reports) == 4
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["outputs"][:4] == [str(out_dir / f"checkpoint-{variant}.bin")
+                                           for variant in ABLATION_VARIANTS]
 
     def test_ablate_train_first_keeps_a_diverged_checkpoint(self, workdir, tmp_path, capsys):
         from conceptqa import model as model_mod
@@ -1130,3 +1133,49 @@ class TestExitCodes:
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["icd build", "data ingest", "data augment",
+                                         "data synth", "data encode", "vocab train",
+                                         "predict"], ids=lambda c: c.replace(" ", "_"))
+    def test_out_into_a_missing_directory(self, workdir, trained, tmp_path, synonym_table,
+                                          command):
+        syn = tmp_path / "synonyms.json"
+        syn.write_text(json.dumps(synonym_table), encoding="utf-8")
+        flat, vocab, icd = (str(workdir / f) for f in ("flat.json", "vocab.json", "icd.json"))
+        flags = {
+            "icd build": ["--corpus", str(workdir / "corpus"),
+                          "--terms", str(workdir / "terms.txt")],
+            "data ingest": ["--in", str(workdir / "raw.json")],
+            "data augment": ["--in", flat, "--synonyms", str(syn), "--dict", icd],
+            "data synth": ["--n", "4"],
+            "data encode": ["--in", flat, "--vocab", vocab, "--dict", icd],
+            "vocab train": ["--data", flat, "--size", "64"],
+            "predict": ["--checkpoint", str(trained / "checkpoint.bin"), "--data", flat,
+                        "--vocab", vocab, "--dict", icd],
+        }[command]
+        out = tmp_path / "new" / "deeper" / "out.json"
+        assert main([*command.split(), *flags, "--out", str(out)]) == 0
+        assert out.is_file()
+        assert json.loads((out.parent / "manifest.json").read_text())["outputs"] == [str(out)]
+
+    @pytest.mark.parametrize("case", ["checkpoint_is_a_directory", "out_is_a_directory",
+                                      "out_dir_is_a_file"])
+    def test_a_path_that_cannot_be_read_or_written_is_one(self, workdir, trained, tmp_path,
+                                                          capsys, case):
+        inputs = ["--data", str(workdir / "flat.json"), "--vocab", str(workdir / "vocab.json"),
+                  "--dict", str(workdir / "icd.json")]
+        ckpt = str(trained / "checkpoint.bin")
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        argv, path = {
+            "checkpoint_is_a_directory": (["eval", "--checkpoint", str(tmp_path), *inputs,
+                                           "--out-dir", str(tmp_path / "ev")], tmp_path),
+            "out_is_a_directory": (["predict", "--checkpoint", ckpt, *inputs,
+                                    "--out", str(tmp_path)], tmp_path),
+            "out_dir_is_a_file": (["eval", "--checkpoint", ckpt, *inputs,
+                                   "--out-dir", str(taken)], taken),
+        }[case]
+        assert main(argv) == 1
+        assert str(path) in capsys.readouterr().err

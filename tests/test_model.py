@@ -162,8 +162,8 @@ class TestDisentangledAttention:
     def test_rows_sum_to_one(self, small_model):
         rng = np.random.default_rng(4)
         h = rng.standard_normal((7, 16))
-        _, cache = attention_fwd(h, small_model.params, 0, small_model.config)
-        np.testing.assert_allclose(cache["prob"].sum(axis=-1), 1.0, atol=1e-9)
+        _, (_, _, _, _, _, prob, *_) = attention_fwd(h, small_model.params, 0, small_model.config)
+        np.testing.assert_allclose(prob.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_zeroed_tables_reduce_to_content_content(self):
         cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=16, max_rel_distance=2)
@@ -171,11 +171,10 @@ class TestDisentangledAttention:
         model.params["layer0.attn.rel_table"][:] = 0.0
         rng = np.random.default_rng(5)
         h = rng.standard_normal((5, 8))
-        _, cache = attention_fwd(h, model.params, 0, cfg)
-        qh, kh = cache["qh"], cache["kh"]
+        _, (qh, kh, _, _, _, prob, *_) = attention_fwd(h, model.params, 0, cfg)
         expect = np.exp((qh @ kh.transpose(0, 2, 1)) / math.sqrt(3 * cfg.head_dim))
         expect = expect / expect.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(cache["prob"], expect, atol=1e-12)
+        np.testing.assert_allclose(prob, expect, atol=1e-12)
 
     def test_matches_loop_oracle_one_head(self):
         cfg = ModelConfig(layers=1, hidden=4, heads=1, vocab_size=16, lora_rank=2,
@@ -215,9 +214,10 @@ class TestDisentangledAttention:
         attn, _ = attention_fwd(h, model.params, 0, cfg)
         manual, _ = M._layernorm_fwd(h + attn, model.params["layer0.ln1.gamma"],
                                      model.params["layer0.ln1.beta"])
-        _, caches = encoder_forward(model, ex.token_ids, ex.boost, return_caches=True)
-        # with the gate off, the gate's input and output is the first sub-layer
-        np.testing.assert_array_equal(caches["layers"][0]["gated"], manual)
+        _, (*_, layers) = encoder_forward(model, ex.token_ids, ex.boost, return_caches=True)
+        # the first sub-layer, rebuilt from layer 0's LayerNorm cache
+        xhat, _, gamma = layers[0][1]
+        np.testing.assert_array_equal(gamma * xhat + model.params["layer0.ln1.beta"], manual)
 
 
 class TestEncoderForward:
@@ -685,7 +685,7 @@ class TestEncoderBackward:
         ex = toy_example(n_ctx=12, n_q=3)
         h, caches = encoder_forward(model, ex.token_ids, ex.boost, return_caches=True)
         before = _cached_arrays(caches)
-        assert any(path.endswith(".prob") for path, *_ in before)
+        assert any(shape == (cfg.heads, len(ex), len(ex)) for _, _, shape, _ in before)
         dh = np.random.default_rng(15).standard_normal(h.shape).astype(h.dtype)
         first = M.encoder_backward(model, dh, caches)
         assert _cached_arrays(caches) == before
@@ -722,12 +722,14 @@ class TestAttentionBackward:
             return float(np.sum(attention_fwd(h, params, 0, cfg, boost)[0] * dout))
 
         _, cache = attention_fwd(h, params, 0, cfg, boost)
-        grads = {}
-        analytic = {"h": M._attention_bwd(dout, cache, params, cfg, grads)}
+        runs = M._rel_runs(seq_len, max_dist)
+        dh, ((daq, dbq), (dak, dbk), _, _) = M._attention_bwd(dout, cache, params, 0, cfg,
+                                                               runs, boost)
+        analytic = {"h": dh}
         probed = {"h": h}
-        for name in ("layer0.attn.q.lora_a", "layer0.attn.q.lora_b",
-                     "layer0.attn.k.lora_a", "layer0.attn.k.lora_b"):
-            analytic[name], probed[name] = grads[name], params[name]
+        for name, grad in (("layer0.attn.q.lora_a", daq), ("layer0.attn.q.lora_b", dbq),
+                           ("layer0.attn.k.lora_a", dak), ("layer0.attn.k.lora_b", dbk)):
+            analytic[name], probed[name] = grad, params[name]
 
         eps = 1e-6
         worst = 0.0
