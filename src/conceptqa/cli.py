@@ -177,6 +177,27 @@ def _write_manifest(args, settings: dict, outputs: list[str], seed, inputs=()) -
     write_json(out_dir / "manifest.json", manifest, indent=2, sort_keys=True)
 
 
+def _check_outputs(args) -> None:
+    """ValueError naming the path when ``--out-dir`` or ``--out`` cannot be
+    written: an ``--out-dir`` that is not a directory, an ``--out`` that is
+    one, or either under a path that is a file.  ``main`` calls it before any
+    command reads its inputs, so no work is lost to an unusable path."""
+    for flag, path, is_dir in (("--out-dir", getattr(args, "out_dir", None), True),
+                               ("--out", getattr(args, "out", None), False)):
+        if path is None:
+            continue
+        path = Path(path)
+        if path.exists():
+            if path.is_dir() != is_dir:
+                raise ValueError(f"{flag} {path}: " + ("not a directory" if is_dir
+                                                       else "is a directory"))
+            continue
+        # a missing path is never the root, so some parent of it exists
+        above = next(parent for parent in path.absolute().parents if parent.exists())
+        if not above.is_dir():
+            raise ValueError(f"{flag} {path}: {above} is not a directory")
+
+
 def _open_checkpoint(path, vocab, dictionary, vocab_path) -> model_mod.EncoderModel:
     """``load_checkpoint``, then check it against the vocabulary and dictionary
     it is run with."""
@@ -601,6 +622,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # data synth, data augment, gradcheck
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        _check_outputs(args)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,11 +34,18 @@ SEG_CONTEXT = 2
 
 DEFAULT_MAX_LEN = 384
 
+# Most distinct words a Vocab's encode memo keeps; later new words are split
+# each time they occur.
+ENCODE_MEMO_SIZE = 1 << 16
+
 
 @dataclass
 class Vocab:
     pieces: list[str]
     piece_to_id: dict[str, int] = field(init=False)
+    # word -> piece ids, filled by encode_words; not part of the vocabulary
+    _memo: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False,
+                                               default_factory=dict)
 
     def __post_init__(self):
         if type(self.pieces) is not list or not all(type(p) is str for p in self.pieces):
@@ -77,13 +84,22 @@ class Vocab:
         return out
 
     def encode_words(self, words: list[str]) -> tuple[list[int], list[int]]:
-        """Piece ids of ``words`` in order, and the piece count of each word."""
+        """Piece ids of ``words`` in order, and the piece count of each word.
+
+        Each distinct word is split once: its ids go into the memo, up to
+        ``ENCODE_MEMO_SIZE`` words.
+        """
         ids: list[int] = []
         counts: list[int] = []
+        memo = self._memo
         for word in words:
-            pieces = self.encode_word(word)
-            ids += self.pieces_to_ids(pieces)
-            counts.append(len(pieces))
+            word_ids = memo.get(word)
+            if word_ids is None:
+                word_ids = tuple(self.pieces_to_ids(self.encode_word(word)))
+                if len(memo) < ENCODE_MEMO_SIZE:
+                    memo[word] = word_ids
+            ids += word_ids
+            counts.append(len(word_ids))
         return ids, counts
 
     def pack(self, *segments: list[int]) -> np.ndarray:

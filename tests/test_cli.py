@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conceptqa import cli, synthetic
+from conceptqa import cli, evaluation, synthetic, training
 from conceptqa.cli import main
 
 TRAIN_CONFIG = {
@@ -1179,3 +1179,73 @@ class TestOutputPaths:
         }[case]
         assert main(argv) == 1
         assert str(path) in capsys.readouterr().err
+
+    @pytest.fixture
+    def work_ran(self, monkeypatch):
+        """Names of the training and scoring functions that ran, each still
+        doing its work."""
+        ran = []
+        for module, name in ((training, "train_two_stage"), (evaluation, "evaluate"),
+                             (evaluation, "predict_all")):
+            def record(*a, _name=name, _real=getattr(module, name), **k):
+                ran.append(_name)
+                return _real(*a, **k)
+            monkeypatch.setattr(module, name, record)
+        return ran
+
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["file", "under_a_file"])
+    def test_train_out_dir_that_is_a_file_fails_before_training(self, workdir, tmp_path, capsys,
+                                                                work_ran, under_a_file):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out_dir = taken / "run" if under_a_file else taken
+        assert main(["train", "--data", str(workdir / "flat.json"),
+                     "--vocab", str(workdir / "vocab.json"), "--dict", str(workdir / "icd.json"),
+                     "--config", str(workdir / "config.json"), "--out-dir", str(out_dir)]) == 1
+        assert work_ran == []
+        assert f"--out-dir {out_dir}: " in capsys.readouterr().err
+
+    def test_eval_out_dir_that_is_a_file_fails_before_scoring(self, workdir, trained, tmp_path,
+                                                             capsys, work_ran):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--data", str(workdir / "flat.json"), "--vocab", str(workdir / "vocab.json"),
+                     "--dict", str(workdir / "icd.json"), "--out-dir", str(taken)]) == 1
+        assert work_ran == []
+        assert f"--out-dir {taken}: not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["directory", "under_a_file"])
+    def test_predict_out_that_cannot_be_a_file_fails_before_scoring(self, workdir, trained,
+                                                                    tmp_path, capsys, work_ran,
+                                                                    case):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out, message = {"directory": (tmp_path, "is a directory"),
+                        "under_a_file": (taken / "p.json", f"{taken} is not a directory")}[case]
+        assert main(["predict", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--data", str(workdir / "flat.json"), "--vocab", str(workdir / "vocab.json"),
+                     "--dict", str(workdir / "icd.json"), "--out", str(out)]) == 1
+        assert work_ran == []
+        assert f"--out {out}: {message}" in capsys.readouterr().err
+
+    def test_data_command_out_under_a_file_fails_before_reading(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        # the input does not exist: the output path is checked first
+        assert main(["data", "ingest", "--in", str(tmp_path / "missing.json"),
+                     "--out", str(taken / "flat.json")]) == 1
+        assert f"--out {taken / 'flat.json'}: {taken} is not a directory" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("out_dir", ["/", "."], ids=["root", "dot_at_root"])
+    def test_eval_out_dir_at_the_root_reaches_scoring(self, workdir, trained, monkeypatch,
+                                                      capsys, out_dir):
+        def stop(*a, **k):
+            raise ValueError("scoring reached")
+        monkeypatch.setattr(evaluation, "evaluate", stop)
+        monkeypatch.chdir("/")
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--data", str(workdir / "flat.json"), "--vocab", str(workdir / "vocab.json"),
+                     "--dict", str(workdir / "icd.json"), "--out-dir", out_dir]) == 1
+        assert "error: scoring reached" in capsys.readouterr().err

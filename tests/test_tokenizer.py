@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conceptqa import tokenizer
+from conceptqa.data import encode_dataset
 from conceptqa.dictionary import empty_dictionary
 from conceptqa.text import normalize_text, normalize_words
 from conceptqa.tokenizer import (
@@ -310,6 +312,54 @@ class TestVocabSerialization:
     def test_duplicate_pieces_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Vocab(pieces=list(SPECIALS) + ["a", "a"])
+
+
+class TestEncodeMemo:
+    """Each Vocab splits a distinct word once and keeps its ids in a bounded
+    memo of its own, which nothing else of the vocabulary shows."""
+
+    def test_memo_belongs_to_one_vocabulary(self, tmp_path, tiny_fixture, tiny_vocab):
+        save_vocab(tiny_vocab, tmp_path / "vocab.json")
+        loaded, other = load_vocab(tmp_path / "vocab.json"), Vocab(list(tiny_vocab.pieces))
+        assert loaded._memo == {} and other._memo == {}
+        loaded.encode_words(normalize_words(tiny_fixture.records[0].context))
+        assert loaded._memo and other._memo == {}
+        assert loaded._memo is not other._memo
+
+    def test_memo_is_bounded(self, monkeypatch, tiny_fixture, tiny_vocab):
+        monkeypatch.setattr(tokenizer, "ENCODE_MEMO_SIZE", 5)
+        words = [w for rec in tiny_fixture.records for w in normalize_words(rec.context)]
+        words += ["zzqx", "qqq"]  # not coverable: [UNK]
+        assert len(set(words)) > 5
+        vocab = Vocab(list(tiny_vocab.pieces))
+        expected = [vocab.pieces_to_ids(vocab.encode_word(w)) for w in words]
+        for _ in range(2):  # filling the memo, then reading it
+            ids, counts = vocab.encode_words(words)
+            assert 0 < len(vocab._memo) <= 5
+            assert ids == [i for word_ids in expected for i in word_ids]
+            assert counts == [len(word_ids) for word_ids in expected]
+
+    def test_memo_is_invisible(self, tmp_path, tiny_fixture, tiny_vocab):
+        fresh, warm = Vocab(list(tiny_vocab.pieces)), Vocab(list(tiny_vocab.pieces))
+        warm.encode_words(normalize_words(tiny_fixture.records[0].context))
+        assert warm._memo
+        assert fresh == warm and repr(fresh) == repr(warm)
+        save_vocab(fresh, tmp_path / "fresh.json")
+        save_vocab(warm, tmp_path / "warm.json")
+        assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
+
+    def test_warm_vocabulary_encodes_the_same_bytes(self, tiny_fixture, tiny_vocab,
+                                                     builtin_dict):
+        vocab = Vocab(list(tiny_vocab.pieces))
+        cold, _ = encode_dataset(tiny_fixture.records, vocab, builtin_dict)
+        warm, _ = encode_dataset(tiny_fixture.records, vocab, builtin_dict)
+        assert vocab._memo
+        for a, b in zip(cold, warm, strict=True):
+            for name in ("token_ids", "segment_flags", "word_index", "boost"):
+                x, y = getattr(a.example, name), getattr(b.example, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert (a.example.gold_span, a.example.words, a.example.word_piece_counts) == \
+                (b.example.gold_span, b.example.words, b.example.word_piece_counts)
 
 
 def test_transliteration_normalization():
