@@ -25,6 +25,7 @@ from .gating import GateParams, gate_backward, gate_forward, gradient_check
 from .model import (
     EncoderModel,
     ModelConfig,
+    ParamTable,
     SpanPrediction,
     build_model,
     count_parameters,

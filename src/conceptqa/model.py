@@ -4,7 +4,9 @@ The backbone mirrors a pretrained-transformer fine-tuning setup structurally:
 all base tensors (embeddings, attention projections, FFN, LayerNorm) are
 frozen at their random initialization, and adaptation happens only through
 low-rank adapters on the Q/K/V/O projections, the concept gate, the span
-heads and the domain-embedding term.  Every forward op has a matching
+heads and the domain-embedding term.  A model's ``ParamTable`` holds those
+adapted tensors as views into one flat array, which the optimizer updates
+whole.  Every forward op has a matching
 hand-written backward so gradients are exact and checkable against finite
 differences.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,18 +198,130 @@ def count_parameters(config: ModelConfig) -> dict:
     return {"by_group": by_group, "trainable": trainable, "frozen": by_group[GROUP_FROZEN]}
 
 
+class Layout:
+    """Where each adapted tensor sits in one flat array: group by group in
+    ``ADAPTABLE_GROUPS`` order, in the given order within a group.
+
+    ``names[i]`` spans ``bounds[i]:bounds[i + 1]`` of the array, in row-major order.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        rank = {group: i for i, group in enumerate(ADAPTABLE_GROUPS)}
+        self.names = tuple(sorted((name for name in shapes if param_group(name) in rank),
+                                  key=lambda name: rank[param_group(name)]))
+        self.shapes = tuple(tuple(shapes[name]) for name in self.names)
+        self.bounds = np.cumsum([0, *(math.prod(shape) for shape in self.shapes)])
+        self._selections: dict[tuple[str, ...], tuple] = {}
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each adapted tensor as a view into ``flat``."""
+        return [flat[a:b].reshape(shape)
+                for a, b, shape in zip(self.bounds[:-1], self.bounds[1:], self.shapes)]
+
+    def select(self, groups) -> tuple:
+        """``(names, bounds, runs)`` of the adapted tensors of ``groups``, packed
+        one after another in layout order: their names, the packed bounds of
+        each, and each stretch of them that is contiguous in the flat array as
+        (flat slice, packed slice)."""
+        groups = tuple(groups)
+        if groups not in self._selections:
+            unknown = set(groups) - set(ADAPTABLE_GROUPS)
+            if unknown:
+                raise ValueError(f"unknown trainable group {min(unknown)!r}")
+            picked = [i for i, name in enumerate(self.names) if param_group(name) in groups]
+            bounds = np.cumsum([0, *(self.bounds[i + 1] - self.bounds[i] for i in picked)])
+            runs = []
+            for j, i in enumerate(picked):
+                flat = slice(int(self.bounds[i]), int(self.bounds[i + 1]))
+                packed = slice(int(bounds[j]), int(bounds[j + 1]))
+                if runs and runs[-1][0].stop == flat.start:  # extends the stretch before it
+                    before = runs.pop()
+                    flat, packed = (slice(before[0].start, flat.stop),
+                                    slice(before[1].start, packed.stop))
+                runs.append((flat, packed))
+            self._selections[groups] = (tuple(self.names[i] for i in picked), bounds, tuple(runs))
+        return self._selections[groups]
+
+    def groups_of(self, grads: dict[str, np.ndarray]) -> tuple[str, ...]:
+        """The groups that a dict of per-name gradients names; KeyError for a
+        name that is not an adapted tensor of this layout."""
+        for name in grads:
+            if name not in self.names:
+                raise KeyError(f"gradient for unknown parameter {name!r}")
+        return tuple(sorted({param_group(name) for name in grads}, key=ADAPTABLE_GROUPS.index))
+
+    def pack(self, grads: dict[str, np.ndarray], groups) -> np.ndarray:
+        """The gradients of ``groups`` as one flat array, as ``select(groups)``
+        packs them; ``grads`` names every adapted tensor of those groups and no
+        other."""
+        names = self.select(groups)[0]
+        try:
+            parts = [grads[name].ravel() for name in names]
+        except KeyError as exc:
+            raise ValueError(f"no gradient for {exc.args[0]!r} of trained groups "
+                             f"{tuple(groups)}") from None
+        if len(parts) != len(grads):
+            raise ValueError(f"gradient for {min(set(grads) - set(names))!r} outside "
+                             f"the trained groups {tuple(groups)}")
+        return np.concatenate(parts)
+
+
+class ParamTable(dict):
+    """Every tensor of a model by name, the adapted ones laid out in one array.
+
+    The tensors of ``ADAPTABLE_GROUPS`` are views into ``flat``, placed by
+    ``layout``; the frozen ones stay separate arrays.  Readers index the table
+    as a dict.  Write an adapted tensor in place (``params[name][...] = x``): an
+    entry rebound to another array is detached from ``flat``, and
+    ``training.optimizer_step`` refuses a table with a detached tensor.
+    Building a table copies the adapted tensors of ``params`` into a new array.
+    """
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        super().__init__(params)
+        self.layout = Layout({name: np.shape(value) for name, value in params.items()})
+        arrays = [np.asarray(params[name]) for name in self.layout.names]
+        dtypes = sorted({a.dtype.name for a in arrays})
+        if len(dtypes) > 1:
+            raise ValueError(f"adapted tensors must share one dtype, got {' and '.join(dtypes)}")
+        self.flat = np.concatenate(arrays, axis=None)
+        self._views = tuple(self.layout.views(self.flat))
+        for name, view in zip(self.layout.names, self._views):
+            self[name] = view
+
+    def __reduce__(self):  # a copy or an unpickled table lays out its own array
+        return type(self), (dict(self),)
+
+    @classmethod
+    def of(cls, model: EncoderModel) -> "ParamTable":
+        """``model.params`` laid out: the table itself while every adapted entry
+        is still its view, else a new table of the current values, which
+        ``model.params`` then holds."""
+        if not (isinstance(model.params, cls) and model.params.detached() is None):
+            model.params = cls(model.params)
+        return model.params
+
+    def detached(self) -> str | None:
+        """The first adapted name whose entry is no longer its view into ``flat``."""
+        if all(map(operator.is_, map(self.get, self.layout.names), self._views)):
+            return None
+        return next(name for name, view in zip(self.layout.names, self._views)
+                    if self.get(name) is not view)
+
+
+def _init_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator, dtype):
+    if name.endswith(".gamma"):
+        return np.ones(shape, dtype=dtype)
+    if name.endswith((".bias", ".beta", ".b1", ".b2", ".lora_b", "gate.b")):
+        return np.zeros(shape, dtype=dtype)
+    return (rng.standard_normal(shape) * INIT_SCALE).astype(dtype)
+
+
 def init_params(config: ModelConfig, rng: np.random.Generator,
                 dtype=np.float32) -> dict[str, np.ndarray]:
     """Scaled-normal init (gain 0.02); zeros for biases and LoRA B; ones for LN gains."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config).items():
-        if name.endswith(".gamma"):
-            params[name] = np.ones(shape, dtype=dtype)
-        elif name.endswith((".bias", ".beta", ".b1", ".b2", ".lora_b", "gate.b")):
-            params[name] = np.zeros(shape, dtype=dtype)
-        else:
-            params[name] = (rng.standard_normal(shape) * INIT_SCALE).astype(dtype)
-    return params
+    return {name: _init_tensor(name, shape, rng, dtype)
+            for name, shape in parameter_shapes(config).items()}
 
 
 def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32,
@@ -214,7 +329,7 @@ def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32,
     rng = np.random.default_rng(seed)
     return EncoderModel(
         config=config,
-        params=init_params(config, rng, dtype=dtype),
+        params=ParamTable(init_params(config, rng, dtype=dtype)),
         seed=seed,
         dictionary_version=dictionary_version,
     )
@@ -330,6 +445,16 @@ def _rel_runs(seq_len: int, max_dist: int) -> np.ndarray:
     return runs.ravel()
 
 
+def _run_starts(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``reduceat`` starts of ``_rel_runs``'s runs over the L² scores, and
+    which runs are nonempty.  reduceat wants every start below L² and gives an
+    empty run one cell, not 0: the starts are clipped and the empty runs are to
+    be zeroed.  The clip is exact: at m >= 1 only the runs after the last row's
+    diagonal bin, itself one cell, start at L²; at m = 0 none does."""
+    ends = np.cumsum(runs)  # each row's runs sum to L, so the last end is L²
+    return np.minimum(ends - runs, ends[-1] - 1), runs > 0
+
+
 def _split_heads(x, heads):
     """(..., L, d) -> (..., heads, L, d / heads)."""
     return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-2, -3)
@@ -402,9 +527,10 @@ def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None
     return out.reshape(h.shape), (qh, kh, vh, qrh, krh, prob, cq, ck, cv, co)
 
 
-def _attention_bwd(dout, cache, params, layer, config: ModelConfig, runs, score_boost):
+def _attention_bwd(dout, cache, params, layer, config: ModelConfig, run_starts, score_boost):
     """(dh, the (lora_a, lora_b) gradients of q, k, v and o) of one example;
-    ``runs`` and ``score_boost`` are the ones its forward took."""
+    ``run_starts`` is ``_run_starts`` of the runs its forward took, and
+    ``score_boost`` the boost it took."""
     nh, dh = config.heads, config.head_dim
     scale = config.lora_scale
     qh, kh, vh, qrh, krh, prob, cq, ck, cv, co = cache
@@ -431,12 +557,8 @@ def _attention_bwd(dout, cache, params, layer, config: ModelConfig, runs, score_
     dqh = ds @ kh
     dkh = ds.transpose(0, 2, 1) @ qh
     # the adjoint of the forward's repeat: each bin's gradient is the sum of its
-    # run, over ds row-major for c2p and transposed for p2c.  reduceat wants every
-    # start below L² and gives an empty run one cell, not 0: clip the starts and
-    # zero the empty runs.  The clip is exact: at m >= 1 only the runs after the
-    # last row's diagonal bin, itself one cell, start at L²; at m = 0 none does.
-    starts = np.minimum(np.cumsum(runs) - runs, seq_len * seq_len - 1)
-    nonempty = runs > 0
+    # run, over ds row-major for c2p and transposed for p2c
+    starts, nonempty = run_starts
     da_c2p = np.add.reduceat(ds.reshape(nh, -1), starts, axis=1) * nonempty
     ds_t = np.ascontiguousarray(ds.transpose(0, 2, 1)).reshape(nh, -1)
     da_p2c = np.add.reduceat(ds_t, starts, axis=1) * nonempty
@@ -574,6 +696,7 @@ def encoder_backward(model: EncoderModel, dh: np.ndarray, caches) -> dict[str, n
     params = model.params
     grads: dict[str, np.ndarray] = {}
     flags, gate, runs, score_boost, layers = caches
+    run_starts = _run_starts(runs)  # L alone fixes them, so every layer shares them
 
     for layer in reversed(range(cfg.layers)):
         attn_cache, ln1_cache, gate_cache, gelu_cache, ln2_cache = layers[layer]
@@ -591,7 +714,8 @@ def encoder_backward(model: EncoderModel, dh: np.ndarray, caches) -> dict[str, n
         else:
             dh1 = dgated
         dsum1 = _layernorm_bwd(dh1, ln1_cache)
-        dx, lora = _attention_bwd(dsum1, attn_cache, params, layer, cfg, runs, score_boost)
+        dx, lora = _attention_bwd(dsum1, attn_cache, params, layer, cfg, run_starts,
+                                  score_boost)
         dh = dsum1 + dx
         for proj, (da, dbb) in zip("qkvo", lora):
             grads[f"layer{layer}.attn.{proj}.lora_a"] = da
@@ -768,15 +892,19 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
     if 16 * config.hidden ** 2 * config.layers > len(body):
         raise ValueError(f"{path}: config has {config.layers} layers of hidden "
                          f"{config.hidden}, more than the {len(body)}-byte body holds")
-    shapes = sorted(parameter_shapes(config).items())
-    sizes = [math.prod(shape) for _, shape in shapes]
-    if 4 * sum(sizes) != len(body):
+    shapes = parameter_shapes(config)
+    names = sorted(shapes)  # the body's order
+    ends = np.cumsum([math.prod(shapes[name]) for name in names])
+    if 4 * ends[-1] != len(body):
         raise ValueError(f"{path}: the body has {len(body)} bytes, the config's "
-                         f"tensors take {4 * sum(sizes)}")
-    parts = np.split(np.frombuffer(body, dtype="<f4"), np.cumsum(sizes)[:-1])
-    params = {name: part.reshape(shape).copy() for (name, shape), part in zip(shapes, parts)}
-    for name, value in params.items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
+                         f"tensors take {4 * ends[-1]}")
+    values = np.frombuffer(body, dtype="<f4")
+    finite = np.isfinite(values)
+    if not finite.all():
+        name = names[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+        raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
+    parts = dict(zip(names, np.split(values.copy(), ends[:-1])))
+    # in build_model's order, so a loaded model has a built one's layout
+    params = ParamTable({name: parts[name].reshape(shape) for name, shape in shapes.items()})
     return EncoderModel(config=config, params=params, seed=header["seed"],
                         dictionary_version=header["dictionary_version"])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import evaluation, metrics, model as model_mod
 from .dictionary import ConceptDictionary
-from .model import ADAPTABLE_GROUPS, EncoderModel
+from .model import ADAPTABLE_GROUPS, EncoderModel, ParamTable
 from .text import (_field, _items, normalize_text, normalize_words, read_json_object,
                    words_with_spans)
 from .tokenizer import Vocab
@@ -126,41 +126,59 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def init_optimizer_state(params: dict[str, np.ndarray]) -> dict:
-    """A fresh AdamW state for ``params``; ``optimizer_step`` makes each
-    tensor's moments with its first gradient."""
-    return {"step": 0, "m": {}, "v": {}}
+    """A fresh AdamW state; the first ``optimizer_step`` makes its two moment
+    arrays, each the size of the adapted-parameter array it updates."""
+    return {"step": 0, "m": None, "v": None}
 
 
 def optimizer_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: ParamTable,
+    grads: dict[str, np.ndarray] | np.ndarray,
     state: dict,
     cfg: TrainConfig,
     lr: float,
+    groups: tuple[str, ...] | None = None,
 ) -> None:
     """One decoupled-weight-decay adaptive-moment update, in place, with
     β₁ ``ADAM_BETA1``, β₂ ``ADAM_BETA2`` and ε ``ADAM_EPS``.
 
-    Moments are kept per parameter name, made at zero with the name's first
-    gradient (``m`` and ``v`` together); parameters without a gradient this
-    step are left untouched (no decay either).  A non-finite gradient aborts
-    the step before any parameter moves.
+    ``grads`` is a dict of per-name gradients that covers whole groups, or,
+    with ``groups``, one flat array of those groups' gradients as
+    ``Layout.pack`` lays them out.  The update runs on the slices of
+    ``params.flat`` and of the moments that the trained groups hold; every
+    other group keeps its values and zero moments (no decay either).  The step
+    counter is global.  A non-finite gradient, named by its tensor, or an
+    adapted entry of ``params`` that was rebound aborts the step before
+    anything moves.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
-        if name not in params:
-            raise KeyError(f"gradient for unknown parameter {name!r}")
+    if not isinstance(params, ParamTable):
+        raise TypeError("params must be a ParamTable, as build_model and "
+                        f"load_checkpoint make, got {type(params).__name__}")
+    layout = params.layout
+    if groups is None:
+        groups = layout.groups_of(grads)
+        grads = layout.pack(grads, groups)
+    names, bounds, runs = layout.select(groups)
+    if np.shape(grads) != (bounds[-1],):
+        raise ValueError(f"gradient of shape {np.shape(grads)} for {bounds[-1]} "
+                         f"values of groups {tuple(groups)}")
+    finite = np.isfinite(grads)
+    if not finite.all():
+        name = names[int(np.searchsorted(bounds, np.argmin(finite), side="right")) - 1]
+        raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
+    detached = params.detached()
+    if detached is not None:
+        raise ValueError(f"params[{detached!r}] was rebound and is no longer part of the "
+                         f"adapted-parameter array; write into it in place instead")
+    if state["m"] is None:
+        state["m"], state["v"] = np.zeros_like(params.flat), np.zeros_like(params.flat)
     state["step"] += 1
     t = state["step"]
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, g in grads.items():
-        p = params[name]
-        g = g.astype(p.dtype, copy=False)
-        if name not in state["m"]:
-            state["m"][name], state["v"][name] = np.zeros_like(p), np.zeros_like(p)
-        m, v = state["m"][name], state["v"][name]
+    grads = grads.astype(params.flat.dtype, copy=False)
+    for part, packed in runs:  # one run per stretch of adjacent trained groups
+        p, m, v, g = params.flat[part], state["m"][part], state["v"][part], grads[packed]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -295,9 +313,12 @@ def _train_step(model: EncoderModel, step: int, lr: float, batch: list, cfg: Tra
                 opt_state: dict, trainable: tuple[str, ...]) -> list[float]:
     """One optimizer step on the batch-mean gradient; returns per-example losses.
 
-    The first overflow or invalid value anywhere in the step raises
+    Each example's gradients are packed into one flat array, and the batch
+    sums them in order, ((g1 + g2) + g3) + ..., before one division.  The
+    first overflow or invalid value anywhere in the step raises
     FloatingPointError naming the step, not a numpy warning.
     """
+    pack = model.params.layout.pack
     losses = []
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -305,14 +326,12 @@ def _train_step(model: EncoderModel, step: int, lr: float, batch: list, cfg: Tra
                 loss, grads = model_mod.qa_loss_and_grads(model, enc.example,
                                                           trainable_groups=trainable)
                 losses.append(loss)
-                if i == 0:  # the first example's gradients hold the batch sum, in order
-                    acc = grads
+                if i == 0:
+                    acc = pack(grads, trainable)
                 else:
-                    for k, g in acc.items():
-                        g += grads[k]
-            for g in acc.values():
-                g /= len(batch)
-            optimizer_step(model.params, acc, opt_state, cfg, lr=lr)
+                    acc += pack(grads, trainable)
+            acc /= len(batch)
+            optimizer_step(model.params, acc, opt_state, cfg, lr=lr, groups=trainable)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} at step {step}") from exc
     return losses
@@ -349,8 +368,9 @@ def train_two_stage(
     lr_schedule(0, cfg, total_steps)  # validates the schedule up front
 
     steps = _steps(usable, cfg, total_steps)
-    opt_state = init_optimizer_state({})
-    best_params = {k: v.copy() for k, v in model.params.items()}
+    params = ParamTable.of(model)
+    opt_state = init_optimizer_state(params)
+    best = params.flat.copy()  # the frozen tensors never change
 
     for stage in stages:
         # patience is per stage: a new stage changes the objective, so it
@@ -366,7 +386,7 @@ def train_two_stage(
                 try:
                     losses += _train_step(run, step, lr, batch, cfg, opt_state, stage.trainable)
                 except FloatingPointError as exc:
-                    model.params = best_params
+                    params.flat[...] = best
                     raise TrainingDiverged(
                         f"{exc}; kept the parameters of step {max(history.best_step, 0)}",
                         model, history) from exc
@@ -374,7 +394,7 @@ def train_two_stage(
             val_em, val_f1 = _quick_eval(run, val_set, vocab)
             history.append(step, float(np.mean(losses)), val_em, val_f1, lr)
             if val_em > history.best_em:
-                best_params = {k: v.copy() for k, v in model.params.items()}
+                best[...] = params.flat
                 history.best_step = step
                 history.best_em = val_em
                 bad_evals = 0
@@ -383,7 +403,7 @@ def train_two_stage(
                 if bad_evals >= cfg.patience:
                     break  # this stage has converged; move to the next
 
-    model.params = best_params
+    params.flat[...] = best
     return model, history
 
 
@@ -402,7 +422,7 @@ def train_epochs_simple(
     usable = [e for e in train_set if e.example.gold_span is not None]
     if not usable:
         raise ValueError("no trainable examples")
-    opt_state = init_optimizer_state({})
+    opt_state = init_optimizer_state(ParamTable.of(model))
     total = total_steps if total_steps is not None else max_steps
     for step, lr, batch in itertools.islice(_steps(usable, cfg, total), max_steps):
         _train_step(model, step, lr, batch, cfg, opt_state, trainable)

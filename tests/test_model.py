@@ -722,9 +722,9 @@ class TestAttentionBackward:
             return float(np.sum(attention_fwd(h, params, 0, cfg, boost)[0] * dout))
 
         _, cache = attention_fwd(h, params, 0, cfg, boost)
-        runs = M._rel_runs(seq_len, max_dist)
+        run_starts = M._run_starts(M._rel_runs(seq_len, max_dist))
         dh, ((daq, dbq), (dak, dbk), _, _) = M._attention_bwd(dout, cache, params, 0, cfg,
-                                                               runs, boost)
+                                                               run_starts, boost)
         analytic = {"h": dh}
         probed = {"h": h}
         for name, grad in (("layer0.attn.q.lora_a", daq), ("layer0.attn.q.lora_b", dbq),
@@ -819,6 +819,77 @@ class TestParameterAccounting:
         assert set(parameter_shapes(small_model.config)) == set(small_model.params)
 
 
+class TestParamTable:
+    CFG = ModelConfig(layers=2, hidden=8, heads=2, vocab_size=32, lora_rank=2)
+
+    def test_adapted_tensors_are_views_group_by_group(self):
+        params = build_model(self.CFG, seed=0).params
+        layout = params.layout
+        groups = [M.param_group(name) for name in layout.names]
+        assert groups == sorted(groups, key=M.ADAPTABLE_GROUPS.index)
+        assert set(layout.names) == {k for k in params if M.param_group(k) != "frozen"}
+        assert params.flat.size == M.count_parameters(self.CFG)["trainable"]
+        for name, a, b in zip(layout.names, layout.bounds[:-1], layout.bounds[1:]):
+            assert params[name].base is params.flat, name
+            assert params[name].tobytes() == params.flat[a:b].tobytes(), name
+        assert not any(np.shares_memory(params[k], params.flat)
+                       for k in params if k not in layout.names)
+
+    def test_a_selection_packs_its_groups_in_stretches(self):
+        layout = build_model(self.CFG, seed=0).params.layout
+        ends = {g: max(int(layout.bounds[i + 1]) for i, name in enumerate(layout.names)
+                       if M.param_group(name) == g) for g in M.ADAPTABLE_GROUPS}
+        lora, gates, heads = ends["lora"], ends["gates"], ends["heads"]
+        names, bounds, runs = layout.select(("heads", "lora"))
+        assert [M.param_group(name) for name in names] == ["lora"] * 16 + ["heads"] * 4
+        assert runs == ((slice(0, lora), slice(0, lora)),
+                        (slice(gates, heads), slice(lora, lora + heads - gates)))
+        assert bounds[-1] == lora + heads - gates
+        names, bounds, runs = layout.select(M.ADAPTABLE_GROUPS)
+        assert names == layout.names and runs == ((slice(0, ends["embed_domain"]),) * 2,)
+        with pytest.raises(ValueError, match="unknown trainable group 'frozen'"):
+            layout.select(("lora", "frozen"))
+
+    def test_a_table_copies_its_inputs(self):
+        values = dict(build_model(self.CFG, seed=0).params)
+        values = {k: v.copy() for k, v in values.items()}
+        table = M.ParamTable(values)
+        assert all(table[k] is v for k, v in values.items() if M.param_group(k) == "frozen")
+        assert not any(np.shares_memory(table.flat, values[k]) for k in table.layout.names)
+        assert all(table[k].tobytes() == values[k].tobytes() for k in values)
+
+    def test_copies_and_pickles_lay_out_their_own_array(self):
+        import copy
+        import pickle
+        table = build_model(self.CFG, seed=0).params
+        for other in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert isinstance(other, M.ParamTable) and other.detached() is None
+            assert not np.shares_memory(other.flat, table.flat)
+            assert other.flat.tobytes() == table.flat.tobytes()
+
+    def test_mixed_dtypes_are_refused(self):
+        values = {"heads.start.weight": np.ones(2, np.float32),
+                  "heads.end.weight": np.ones(2, np.float64)}
+        with pytest.raises(ValueError, match="share one dtype, got float32 and float64"):
+            M.ParamTable(values)
+
+    def test_a_rebound_entry_is_detached_and_of_lays_it_out_again(self):
+        model = build_model(self.CFG, seed=0)
+        table = model.params
+        assert M.ParamTable.of(model) is table and table.detached() is None
+        table["gate.b"] = np.full(8, 3.0, np.float32)
+        assert table.detached() == "gate.b"
+        again = M.ParamTable.of(model)
+        assert again is model.params and again is not table and again.detached() is None
+        assert again["gate.b"].tolist() == [3.0] * 8
+
+    def test_a_hand_built_model_is_laid_out_by_of(self):
+        built = build_model(self.CFG, seed=0)
+        hand = EncoderModel(config=self.CFG, params={k: v.copy() for k, v in built.params.items()})
+        table = M.ParamTable.of(hand)
+        assert hand.params is table and table.flat.tobytes() == built.params.flat.tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, models_equal):
         cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
@@ -832,6 +903,27 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.bin"
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_a_loaded_model_has_a_built_ones_layout(self, tmp_path):
+        cfg = ModelConfig(layers=2, hidden=8, heads=2, vocab_size=32, lora_rank=2)
+        model = build_model(cfg, seed=5)
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path).params
+        assert isinstance(loaded, M.ParamTable) and loaded.detached() is None
+        assert list(loaded) == list(model.params)
+        assert loaded.layout.names == model.params.layout.names
+        assert loaded.flat.tobytes() == model.params.flat.tobytes()
+
+    def test_names_the_first_of_two_non_finite_tensors(self, tmp_path):
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
+        model = build_model(cfg, seed=5)
+        model.params["layer0.ffn.w1"][3, 4] = np.inf
+        model.params["gate.w"][0, 0] = np.nan
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, path)
+        with pytest.raises(ValueError, match=r"tensor 'gate\.w' holds a non-finite value$"):
+            load_checkpoint(path)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -58,26 +58,53 @@ class TestLrSchedule:
             lr_schedule(101, cfg, 100)
 
 
+# the optimizer updates the adapted tensors of a ParamTable; W is one of them
+W = "heads.start.weight"
+
+
+def _table(values) -> model_mod.ParamTable:
+    return model_mod.ParamTable({W: np.array(values)})
+
+
+def _reference_adamw(params, grads, state, cfg, lr):
+    """AdamW tensor by tensor, each tensor's moments made with its first
+    gradient: the per-name optimizer the flat one replaced."""
+    state["step"] += 1
+    t = state["step"]
+    bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    for name, g in grads.items():
+        p = params[name]
+        if name not in state["m"]:
+            state["m"][name], state["v"][name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state["m"][name], state["v"][name]
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+        p -= lr * (update + cfg.weight_decay * p)
+
+
 class TestOptimizerStep:
     def test_zero_grads_zero_decay_is_fixed_point(self):
         cfg = TrainConfig(weight_decay=0.0)
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        before = params["w"].copy()
+        params = _table([1.0, -2.0, 3.0])
+        before = params[W].copy()
         state = init_optimizer_state(params)
-        optimizer_step(params, {"w": np.zeros(3)}, state, cfg, lr=1e-3)
-        np.testing.assert_array_equal(params["w"], before)
+        optimizer_step(params, {W: np.zeros(3)}, state, cfg, lr=1e-3)
+        np.testing.assert_array_equal(params[W], before)
 
     def test_decoupled_decay_shrinks_params(self):
         cfg = TrainConfig(weight_decay=0.01)
-        params = {"w": np.array([1.0, -2.0])}
+        params = _table([1.0, -2.0])
         state = init_optimizer_state(params)
-        optimizer_step(params, {"w": np.zeros(2)}, state, cfg, lr=1e-3)
-        np.testing.assert_allclose(params["w"],
+        optimizer_step(params, {W: np.zeros(2)}, state, cfg, lr=1e-3)
+        np.testing.assert_allclose(params[W],
                                    np.array([1.0, -2.0]) * (1 - 1e-3 * 0.01), rtol=1e-12)
 
     def test_ten_step_scalar_trajectory_matches_hand_oracle(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.01)
-        params = {"w": np.array([0.5])}
+        params = _table([0.5])
         state = init_optimizer_state(params)
         rng = np.random.default_rng(0)
         grads = rng.standard_normal(10)
@@ -91,23 +118,25 @@ class TestOptimizerStep:
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
             p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
-            optimizer_step(params, {"w": np.array([g])}, state, cfg, lr=lr)
-            assert params["w"][0] == pytest.approx(p, abs=1e-14)
+            optimizer_step(params, {W: np.array([g])}, state, cfg, lr=lr)
+            assert params[W][0] == pytest.approx(p, abs=1e-14)
 
     def test_nan_gradient_aborts(self):
         cfg = TrainConfig()
-        params = {"w": np.ones(2)}
+        params = _table([1.0, 1.0])
         state = init_optimizer_state(params)
-        before = params["w"].copy()
+        before = params[W].copy()
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            optimizer_step(params, {"w": np.array([1.0, np.nan])}, state, cfg, lr=1e-3)
-        np.testing.assert_array_equal(params["w"], before)
+            optimizer_step(params, {W: np.array([1.0, np.nan])}, state, cfg, lr=1e-3)
+        np.testing.assert_array_equal(params[W], before)
 
     def test_moments_are_made_once_per_tensor(self, monkeypatch):
-        # a tensor's moments start at zero with its first gradient and are
-        # then updated in place; no step makes a zero array it drops
+        # the moments are two flat arrays, the size of the adapted-parameter
+        # array, made with the first step and then updated in place; no step
+        # makes a zero array per tensor or one it drops
         rng = np.random.default_rng(1)
-        params = {"a": rng.standard_normal(3), "b": rng.standard_normal((2, 2))}
+        params = model_mod.ParamTable({"layer0.attn.q.lora_a": rng.standard_normal((2, 2)),
+                                       W: rng.standard_normal(3)})
         grads = [{k: rng.standard_normal(v.shape) for k, v in params.items()}
                  for _ in range(3)]
         made = []
@@ -115,16 +144,101 @@ class TestOptimizerStep:
         monkeypatch.setattr(np, "zeros_like", lambda a: made.append(a.shape) or zeros_like(a))
         state = init_optimizer_state({})
         optimizer_step(params, grads[0], state, TrainConfig(), lr=1e-3)
-        first = {k: (state["m"][k], state["v"][k]) for k in params}
+        first = state["m"], state["v"]
         for g in grads[1:]:
             optimizer_step(params, g, state, TrainConfig(), lr=1e-3)
-        assert made == [(3,), (3,), (2, 2), (2, 2)]
-        assert all(state["m"][k] is m and state["v"][k] is v for k, (m, v) in first.items())
+        assert made == [(7,), (7,)]
+        assert state["m"] is first[0] and state["v"] is first[1]
+        assert params.flat.shape == (7,) and state["step"] == 3
 
     def test_unknown_param(self):
         with pytest.raises(KeyError):
-            optimizer_step({"w": np.ones(1)}, {"q": np.ones(1)},
+            optimizer_step(_table([1.0]), {"q": np.ones(1)},
                            init_optimizer_state({}), TrainConfig(), lr=1e-3)
+
+    def test_frozen_param_is_unknown(self):
+        params = model_mod.ParamTable({W: np.ones(1), "embed.token_table": np.ones((2, 1))})
+        with pytest.raises(KeyError, match="gradient for unknown parameter 'embed.token_table'"):
+            optimizer_step(params, {W: np.ones(1), "embed.token_table": np.ones((2, 1))},
+                           init_optimizer_state({}), TrainConfig(), lr=1e-3)
+
+    def test_a_group_needs_all_its_gradients(self):
+        params = model_mod.ParamTable({W: np.ones(1), "heads.end.weight": np.ones(1)})
+        with pytest.raises(ValueError, match="no gradient for 'heads.end.weight'"):
+            optimizer_step(params, {W: np.ones(1)}, init_optimizer_state({}), TrainConfig(),
+                           lr=1e-3)
+
+    def test_flat_adamw_matches_the_per_name_reference_bit_for_bit(self):
+        # 120 steps of stage one's groups, then 100 of all four, on a float32
+        # model: every tensor, and every moment the reference made, is
+        # bit-identical; untrained groups keep their values and zero moments
+        cfg = model_mod.ModelConfig(layers=2, hidden=16, heads=2, vocab_size=40, lora_rank=2)
+        model = model_mod.build_model(cfg, seed=3)
+        params = model.params
+        reference = {k: v.copy() for k, v in params.items()}
+        before = {k: v.copy() for k, v in params.items()}
+        tcfg = TrainConfig(weight_decay=0.01)
+        state, ref_state = init_optimizer_state(params), {"step": 0, "m": {}, "v": {}}
+        rng = np.random.default_rng(4)
+        layout = params.layout
+
+        def run(groups, steps):
+            names = [k for k in layout.names if model_mod.param_group(k) in groups]
+            for _ in range(steps):
+                grads = {k: (rng.standard_normal(params[k].shape) * 0.1).astype(np.float32)
+                         for k in names}
+                lr = float(rng.uniform(1e-4, 1e-2))
+                optimizer_step(params, grads, state, tcfg, lr=lr)
+                _reference_adamw(reference, grads, ref_state, tcfg, lr)
+
+        run(("lora", "heads"), 120)
+        m, v = dict(zip(layout.names, layout.views(state["m"]))), \
+            dict(zip(layout.names, layout.views(state["v"])))
+        for k in layout.names:
+            if model_mod.param_group(k) in ("gates", "embed_domain"):
+                assert params[k].tobytes() == before[k].tobytes(), k
+                assert not m[k].any() and not v[k].any(), k
+                assert k not in ref_state["m"]
+        run(model_mod.ADAPTABLE_GROUPS, 100)
+        assert state["step"] == ref_state["step"] == 220
+        for k, value in reference.items():
+            assert params[k].dtype == value.dtype == np.float32
+            assert params[k].tobytes() == value.tobytes(), k
+        for k in layout.names:
+            assert m[k].tobytes() == ref_state["m"][k].tobytes(), k
+            assert v[k].tobytes() == ref_state["v"][k].tobytes(), k
+
+    def test_a_non_finite_gradient_names_its_tensor(self):
+        # the first non-finite value in layout order names the tensor; nothing moves
+        cfg = model_mod.ModelConfig(layers=2, hidden=8, heads=2, vocab_size=20, lora_rank=2)
+        params = model_mod.build_model(cfg, seed=0).params
+        grads = {k: np.zeros_like(params[k]) for k in params.layout.names}
+        grads["embed.domain_vector"][1] = np.nan
+        grads["layer1.attn.v.lora_b"][0, 1] = np.inf
+        before = params.flat.copy()
+        state = init_optimizer_state(params)
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite gradient for 'layer1\.attn\.v\.lora_b'; "
+                                 r"step aborted$"):
+            optimizer_step(params, grads, state, TrainConfig(), lr=1e-3)
+        assert params.flat.tobytes() == before.tobytes()
+        assert state["step"] == 0 and state["m"] is None
+
+    def test_a_rebound_entry_is_refused(self):
+        params = model_mod.ParamTable({W: np.ones(2), "heads.end.weight": np.ones(2)})
+        replaced = np.full(2, 5.0)
+        params[W] = replaced
+        before = params.flat.copy()
+        with pytest.raises(ValueError, match=r"params\['heads\.start\.weight'\] was rebound"):
+            optimizer_step(params, {W: np.ones(2), "heads.end.weight": np.ones(2)},
+                           init_optimizer_state({}), TrainConfig(), lr=1e-3)
+        assert replaced.tolist() == [5.0, 5.0]
+        assert params.flat.tobytes() == before.tobytes()
+
+    def test_params_must_be_a_table(self):
+        with pytest.raises(TypeError, match="params must be a ParamTable"):
+            optimizer_step({W: np.ones(1)}, {W: np.ones(1)}, init_optimizer_state({}),
+                           TrainConfig(), lr=1e-3)
 
 
 class TestAugmentSynonym:
@@ -320,7 +434,8 @@ class TestTrainTwoStage:
         assert StageConfig("adaptation", 0, False, ("lora",)).epochs == 0
 
     def test_step_averages_the_batch_gradients_in_order(self, training_setup, monkeypatch):
-        # the batch mean is ((g1 + g2) + g3) / 3 per tensor, bit for bit
+        # the step hands the optimizer one flat array in the parameter layout
+        # whose every tensor is ((g1 + g2) + g3) / 3, bit for bit
         from conceptqa import training
         train, _, vocab = training_setup
         model = self._model(vocab)
@@ -332,16 +447,112 @@ class TestTrainTwoStage:
             for _, grads in per_example[1:]:
                 total = total + grads[k]
             expected[k] = total / len(batch)
-        seen = {}
+        seen = []
         monkeypatch.setattr(training, "optimizer_step",
-                            lambda params, grads, *args, **kwargs: seen.update(grads))
+                            lambda params, grads, *args, **kwargs: seen.append((grads, kwargs)))
         losses = training._train_step(model, 1, 1e-3, batch, TrainConfig(),
                                       init_optimizer_state({}), model_mod.ADAPTABLE_GROUPS)
         assert losses == [loss for loss, _ in per_example]
-        assert seen.keys() == expected.keys()
-        for k, value in expected.items():
-            assert seen[k].dtype == value.dtype
-            assert seen[k].tobytes() == value.tobytes(), k
+        [(flat, kwargs)] = seen
+        assert kwargs["groups"] == model_mod.ADAPTABLE_GROUPS
+        layout = model.params.layout
+        assert flat.shape == model.params.flat.shape
+        assert set(layout.names) == expected.keys()
+        for k, value in zip(layout.names, layout.views(flat)):
+            assert value.dtype == expected[k].dtype
+            assert value.tobytes() == expected[k].tobytes(), k
+
+    def test_a_hand_built_model_trains_like_a_built_one(self, training_setup):
+        # separate arrays are laid out by the training entry point and train to
+        # the same bytes; the caller's arrays are copied, not trained
+        train, _, vocab = training_setup
+        built = self._model(vocab, seed=2)
+        separate = {k: v.copy() for k, v in built.params.items()}
+        hand = model_mod.EncoderModel(config=built.config, params=separate, seed=2)
+        cfg = TrainConfig(learning_rate=5e-3, warmup_steps=2, seed=1)
+        train_epochs_simple(built, train, cfg, max_steps=6)
+        train_epochs_simple(hand, train, cfg, max_steps=6)
+        assert isinstance(hand.params, model_mod.ParamTable) and hand.params is not separate
+        assert hand.params.flat.tobytes() == built.params.flat.tobytes()
+        assert all(hand.params[k].tobytes() == built.params[k].tobytes() for k in built.params)
+        assert separate["heads.start.weight"].tobytes() != built.params["heads.start.weight"].tobytes()
+
+    def test_a_tensor_rebound_mid_training_stops_the_step(self, training_setup, monkeypatch):
+        # step 2's first example rebinds a trained tensor: that step raises
+        # before anything moves, and the rebound array is never updated
+        train, _, vocab = training_setup
+        model = self._model(vocab)
+        real = model_mod.qa_loss_and_grads
+        calls, seen = [], {}
+
+        def rebinding(model, example, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                seen["flat"] = model.params.flat.copy()
+                seen["array"] = model.params["heads.start.weight"].copy()
+                model.params["heads.start.weight"] = seen["array"]
+                seen["value"] = seen["array"].copy()
+            return real(model, example, **kwargs)
+
+        monkeypatch.setattr(model_mod, "qa_loss_and_grads", rebinding)
+        cfg = TrainConfig(learning_rate=5e-3, warmup_steps=2, seed=0)
+        with pytest.raises(ValueError, match=r"^params\['heads\.start\.weight'\] was rebound "
+                                             r"and is no longer part of the adapted-parameter "
+                                             r"array; write into it in place instead$"):
+            train_epochs_simple(model, train, cfg, max_steps=4)
+        assert len(calls) == 8
+        assert seen["array"].tobytes() == seen["value"].tobytes()
+        assert model.params.flat.tobytes() == seen["flat"].tobytes()
+
+    def test_a_non_finite_gradient_names_its_tensor_and_step(self, training_setup, monkeypatch):
+        train, _, vocab = training_setup
+        real = model_mod.qa_loss_and_grads
+        calls = []
+
+        def poisoned(model, example, **kwargs):
+            calls.append(1)
+            loss, grads = real(model, example, **kwargs)
+            if len(calls) == 10:  # step 3, second example
+                grads["layer0.attn.o.lora_a"][1, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(model_mod, "qa_loss_and_grads", poisoned)
+        cfg = TrainConfig(learning_rate=5e-3, warmup_steps=2, seed=0)
+        with pytest.raises(FloatingPointError, match=r"^non-finite gradient for "
+                                                     r"'layer0\.attn\.o\.lora_a'; step aborted "
+                                                     r"at step 3$"):
+            train_epochs_simple(self._model(vocab), train, cfg, max_steps=5)
+
+    def test_divergence_restores_the_best_parameters_in_place(self, training_setup,
+                                                              monkeypatch):
+        # 16 examples in steps of 4: step 4 ends the first epoch and is the best
+        # so far, step 5 moves the parameters, step 6 gets a NaN gradient
+        train, val, vocab = training_setup
+        model = self._model(vocab)
+        table = model.params
+        real = model_mod.qa_loss_and_grads
+        calls, best = [], {}
+
+        def poisoned(model, example, **kwargs):
+            calls.append(1)
+            if len(calls) == 17:
+                best.update({k: v.copy() for k, v in model.params.items()})
+            loss, grads = real(model, example, **kwargs)
+            if len(calls) == 21:
+                grads["heads.end.bias"] = np.full_like(grads["heads.end.bias"], np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(model_mod, "qa_loss_and_grads", poisoned)
+        cfg = TrainConfig(learning_rate=5e-3, warmup_steps=2, patience=5, seed=0)
+        stages = [StageConfig("adaptation", 3, False, ("lora", "heads"))]
+        with pytest.raises(TrainingDiverged, match="'heads.end.bias'; step aborted at step 6; "
+                                                   "kept the parameters of step 4") as info:
+            train_two_stage(model, train, val, cfg, stages, vocab=vocab)
+        assert info.value.model is model and model.params is table
+        assert table.detached() is None
+        assert table.keys() == best.keys()
+        for k, value in best.items():
+            assert table[k].tobytes() == value.tobytes(), k
 
     def test_simple_loop_overflow_names_the_step(self, training_setup):
         train, _, vocab = training_setup
