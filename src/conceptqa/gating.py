@@ -70,8 +70,8 @@ def gate_forward(
         raise ValueError(f"input width {x.shape[1]} does not match gate dim {params.d}")
     if boost.shape != (x.shape[0],):
         raise ValueError(f"boost length {boost.shape} does not match L={x.shape[0]}")
-    if np.any(boost < 1.0):
-        raise ValueError("boost values must be >= 1.0")
+    if not (1.0 <= boost.min(initial=1.0) and boost.max(initial=1.0) < np.inf):  # NaN fails
+        raise ValueError("boost values must be finite and >= 1.0")
 
     gate = _sigmoid(x @ params.w + params.b)
     boosted = gate * (x * boost[:, None])

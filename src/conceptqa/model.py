@@ -355,10 +355,9 @@ def _lin_bwd(dy, w, a, bb, scale, cache):
 
 
 def _layernorm_fwd(x, gamma, beta):
-    d = x.shape[-1]  # means as sum / d: ``mean`` adds ~5 us of Python per call; both round alike
-    mu = x.sum(axis=-1, keepdims=True) / d
-    xc = x - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    mean = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], x.dtype)  # row means: one BLAS product
+    xc = x - x @ mean
+    var = (xc * xc) @ mean
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return gamma * xhat + beta, (xhat, inv, gamma)
@@ -367,10 +366,8 @@ def _layernorm_fwd(x, gamma, beta):
 def _layernorm_bwd(dy, cache):
     xhat, inv, gamma = cache
     dxhat = dy * gamma
-    d = dxhat.shape[-1]
-    mean1 = dxhat.sum(axis=-1, keepdims=True) / d
-    mean2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-    return inv * (dxhat - mean1 - xhat * mean2)
+    mean = np.full((dxhat.shape[-1], 1), 1.0 / dxhat.shape[-1], dxhat.dtype)
+    return inv * (dxhat - dxhat @ mean - xhat * ((dxhat * xhat) @ mean))
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -479,6 +476,10 @@ def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None
     alone, so one set serves every layer and every row of a padded batch.
     ``score_boost`` (shaped like h without d) multiplies each key's scores;
     ``key_bias`` (B, L) is added to them, -inf on a batch's padded keys.
+
+    The cache holds the query rows already scaled by 1/sqrt(3 dh) and, in place
+    of the probabilities, the unnormalized e = exp(s - rowmax) with 1/rowsum(e):
+    the softmax is normalized on the (L, dh) context, not on the (L, L) scores.
     """
     nh, dh = config.heads, config.head_dim
     scale = config.lora_scale
@@ -498,33 +499,40 @@ def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None
     q, cq = _lin_fwd(rows, wq, aq, bbq, scale)
     k, ck = _lin_fwd(rows, wk, ak, bbk, scale)
     v, cv = _lin_fwd(flat, wv, av, bbv, scale)
-    q, qr = (q[:n] + bq).reshape(h.shape), q[n:]
+    # every score term holds one query row, content or relative: scaling the
+    # (L + P) query rows by 1/sqrt(3 dh) scales the (L, L) scores
+    q[:n] += bq
+    q *= 1.0 / math.sqrt(3.0 * dh)
+    q, qr = q[:n].reshape(h.shape), q[n:]
     k, kr = (k[:n] + bk).reshape(h.shape), k[n:]
     v = (v + bv).reshape(h.shape)
 
     qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
     qrh, krh = _split_heads(qr, nh), _split_heads(kr, nh)
 
-    # s = (c2c + c2p + p2c) / sqrt(3 dh), then the softmax, built in place; the
-    # relative terms are their bins repeated along rows (c2p) or columns (p2c)
+    # s = c2c + c2p + p2c, already scaled; the relative terms are their bins
+    # repeated along rows (c2p) or columns (p2c)
     s = qh @ kh.swapaxes(-1, -2)                                          # (..., nh, L, L)
     a_c2p = (qh @ krh.swapaxes(-1, -2)).reshape(*s.shape[:-2], -1)        # (..., nh, L·P)
     s += np.repeat(a_c2p, runs, axis=-1).reshape(s.shape)
     a_p2c = (qrh @ kh.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(*s.shape[:-2], -1)
     s += np.repeat(a_p2c, runs, axis=-1).reshape(s.shape).swapaxes(-1, -2)
-    s /= math.sqrt(3.0 * dh)
     if score_boost is not None:
         s *= score_boost[..., None, None, :]
     if key_bias is not None:
         s += key_bias[:, None, None, :]
+    # softmax(s) @ v = (e @ v) / r with e = exp(s - rowmax), built in place in s,
+    # and the row sums r = e @ ones a BLAS product
     s -= s.max(axis=-1, keepdims=True)
-    prob = np.exp(s, out=s)
-    prob /= prob.sum(axis=-1, keepdims=True)
-    ctx = _merge_heads(prob @ vh).reshape(n, d)
+    e = np.exp(s, out=s)
+    r_inv = 1.0 / (e @ np.ones(e.shape[-1], e.dtype))                    # (..., nh, L)
+    ctx = e @ vh
+    ctx *= r_inv[..., None]
+    ctx = _merge_heads(ctx).reshape(n, d)
     out, co = _lin_fwd(ctx, wo, ao, bbo, scale)
     out += bo
 
-    return out.reshape(h.shape), (qh, kh, vh, qrh, krh, prob, cq, ck, cv, co)
+    return out.reshape(h.shape), (qh, kh, vh, qrh, krh, e, r_inv, cq, ck, cv, co)
 
 
 def _attention_bwd(dout, cache, params, layer, config: ModelConfig, run_starts, score_boost):
@@ -533,7 +541,7 @@ def _attention_bwd(dout, cache, params, layer, config: ModelConfig, run_starts, 
     ``score_boost`` the boost it took."""
     nh, dh = config.heads, config.head_dim
     scale = config.lora_scale
-    qh, kh, vh, qrh, krh, prob, cq, ck, cv, co = cache
+    qh, kh, vh, qrh, krh, e, r_inv, cq, ck, cv, co = cache
     seq_len = qh.shape[-2]
 
     wq, _, aq, bbq = _attn_params(params, layer, "q")
@@ -542,16 +550,19 @@ def _attention_bwd(dout, cache, params, layer, config: ModelConfig, run_starts, 
     wo, _, ao, bbo = _attn_params(params, layer, "o")
 
     dctx2, dao, dbbo = _lin_bwd(dout, wo, ao, bbo, scale, co)
-    dctx = _split_heads(dctx2, nh)
 
-    # softmax adjoint in place: ds = prob * (dprob - rowsum(dprob * prob))
-    ds = dctx @ vh.transpose(0, 2, 1)
-    dvh = prob.transpose(0, 2, 1) @ dctx
-    ds -= np.einsum("hij,hij->hi", ds, prob)[..., None]
-    ds *= prob
+    # the softmax adjoint from e and r = 1 / r_inv, with prob = e / r:
+    # ds = prob * (dctx vᵀ - D) = e * (g vᵀ - D / r), g = dctx / r, where
+    # D = rowsum(dctx * ctx) per head, from the (L, d) context the o cache holds
+    dd = ((dctx2 * co[0]).reshape(seq_len, nh, dh) @ np.ones(dh, e.dtype)).T   # (nh, L)
+    dd *= r_inv
+    g = _split_heads(dctx2, nh) * r_inv[..., None]
+    ds = g @ vh.transpose(0, 2, 1)
+    dvh = e.transpose(0, 2, 1) @ g
+    ds -= dd[..., None]
+    ds *= e
     if score_boost is not None:
         ds *= score_boost[None, None, :]
-    ds /= math.sqrt(3.0 * dh)
 
     # content-content
     dqh = ds @ kh
@@ -571,6 +582,7 @@ def _attention_bwd(dout, cache, params, layer, config: ModelConfig, run_starts, 
 
     # the relative table is frozen: its rows feed only the LoRA gradients
     dq = _merge_heads(np.concatenate([dqh, dqrh], axis=1))
+    dq *= 1.0 / math.sqrt(3.0 * dh)  # the forward's score scale, on the query rows
     dk = _merge_heads(np.concatenate([dkh, dkrh], axis=1))
     dh_q, daq, dbbq = _lin_bwd(dq, wq, aq, bbq, scale, cq)
     dh_k, dak, dbbk = _lin_bwd(dk, wk, ak, bbk, scale, ck)
@@ -625,7 +637,10 @@ def encoder_forward(
 ):
     """Run the full encoder stack; returns final hidden states (L, d), and with
     ``return_caches`` the caches (flags, gate, runs, score_boost, layers), each
-    layer's (attn, ln1, gate, gelu, ln2).
+    layer's (attn, ln1, gate, gelu, ln2).  The attention cache holds the scaled
+    query rows and the softmax as e = exp(s - rowmax) and 1/rowsum(e), with no
+    normalized (heads, L, L) probabilities.  Every boost must be finite and
+    >= 1, in every boost mode.
 
     Per layer: disentangled attention -> residual + LayerNorm -> concept gate
     (by gate/boost mode) -> FFN -> residual + LayerNorm.
@@ -645,6 +660,8 @@ def encoder_forward(
     if token_ids.ndim not in (1, 2) or boost.shape != token_ids.shape:
         raise ValueError(f"boost vector length does not match token count: "
                          f"boost {boost.shape}, ids {token_ids.shape}")
+    if not (1.0 <= boost.min(initial=1.0) and boost.max(initial=1.0) < np.inf):  # NaN fails
+        raise ValueError("boost values must be finite and >= 1.0")
     key_bias = _key_bias(lengths, token_ids.shape, boost.dtype)
     if return_caches and token_ids.ndim != 1:
         raise ValueError("caches are kept for one example, not for a batch")

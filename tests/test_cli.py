@@ -5,7 +5,10 @@ import os
 import platform
 import re
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -715,6 +718,50 @@ class TestTrainEvalPredict:
                    "--checkpoints", str(tmp_path), "--set", 'stages=[{"stage":"x"}]'])
         assert rc == 1
         assert "setting stages.0.stage must be one of" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    """Outputs do not depend on the BLAS thread count: the row sums of the
+    attention and of LayerNorm are BLAS products, which OpenBLAS may split
+    over threads once a matrix is large enough."""
+
+    def test_train_and_predict_are_byte_identical_at_one_and_two_threads(self, workdir,
+                                                                         tmp_path):
+        # ~200-word contexts at hidden 32: the (4, L, L) softmax row sums and
+        # the (L, dh, L) context products pass OpenBLAS's threading thresholds
+        fixture = synthetic.generate_records(10, seed=5, target_context_words=200)
+        synthetic.write_squad(fixture, tmp_path / "raw.json")
+        data, vocab = str(tmp_path / "flat.json"), str(tmp_path / "vocab.json")
+        assert main(["data", "ingest", "--in", str(tmp_path / "raw.json"), "--out", data]) == 0
+        assert main(["vocab", "train", "--data", data, "--size", "256", "--out", vocab]) == 0
+        config = {**TRAIN_CONFIG, "model": {"layers": 1, "hidden": 32, "heads": 4,
+                                            "lora_rank": 2, "max_rel_distance": 16}}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        common = ["--vocab", vocab, "--dict", str(workdir / "icd.json")]
+        code = (
+            "import sys\n"
+            "from conceptqa.cli import main\n"
+            "run, args = sys.argv[1], sys.argv[2:]\n"
+            f"assert main(['train', '--data', {data!r}, *args, '--out-dir', run,\n"
+            f"             '--config', {str(tmp_path / 'config.json')!r}]) == 0\n"
+            f"assert main(['predict', '--checkpoint', run + '/checkpoint.bin',\n"
+            f"             '--data', {data!r}, *args, '--out', run + '/predictions.json']) == 0\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+            run = tmp_path / f"threads{threads}"
+            result = subprocess.run([sys.executable, "-c", code, str(run), *common], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr[-2000:]
+            assert json.loads((run / "manifest.json").read_text())[
+                "environment"]["OPENBLAS_NUM_THREADS"] == threads
+            outputs.append([(run / name).read_bytes()
+                            for name in ("checkpoint.bin", "predictions.json")])
+        assert outputs[0] == outputs[1]
 
 
 class TestGradcheckCommand:

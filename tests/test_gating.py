@@ -69,6 +69,12 @@ class TestForward:
         assert np.all(high[1] > low[1])
         np.testing.assert_array_equal(high[0], low[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+    def test_a_boost_that_is_not_finite_and_at_least_one_is_refused(self, bad):
+        params = GateParams(np.zeros((4, 4)), np.zeros(4))
+        with pytest.raises(ValueError, match="boost values must be finite and >= 1.0"):
+            gate_forward(np.ones((3, 4)), np.array([1.0, bad, 2.0]), params)
+
     def test_shape_and_range_errors(self):
         params = GateParams(np.zeros((4, 4)), np.zeros(4))
         with pytest.raises(ValueError, match="boost length"):

@@ -162,7 +162,9 @@ class TestDisentangledAttention:
     def test_rows_sum_to_one(self, small_model):
         rng = np.random.default_rng(4)
         h = rng.standard_normal((7, 16))
-        _, (_, _, _, _, _, prob, *_) = attention_fwd(h, small_model.params, 0, small_model.config)
+        _, (_, _, _, _, _, e, r_inv, *_) = attention_fwd(h, small_model.params, 0,
+                                                         small_model.config)
+        prob = e * r_inv[..., None]
         np.testing.assert_allclose(prob.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_zeroed_tables_reduce_to_content_content(self):
@@ -171,7 +173,12 @@ class TestDisentangledAttention:
         model.params["layer0.attn.rel_table"][:] = 0.0
         rng = np.random.default_rng(5)
         h = rng.standard_normal((5, 8))
-        _, (qh, kh, _, _, _, prob, *_) = attention_fwd(h, model.params, 0, cfg)
+        _, (*_, e, r_inv, _, _, _, _) = attention_fwd(h, model.params, 0, cfg)
+        prob = e * r_inv[..., None]
+        # LoRA B starts at zero, so q and k are the frozen projections plus bias
+        qh, kh = (M._split_heads(h @ model.params[f"layer0.attn.{p}.weight"]
+                                 + model.params[f"layer0.attn.{p}.bias"], cfg.heads)
+                  for p in "qk")
         expect = np.exp((qh @ kh.transpose(0, 2, 1)) / math.sqrt(3 * cfg.head_dim))
         expect = expect / expect.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(prob, expect, atol=1e-12)
@@ -354,6 +361,40 @@ class TestGelu:
             assert np.max(np.abs(h32 - h64)) <= HIDDEN_F32_ATOL, length
 
 
+# float32 rounding of the gradients, per tensor and relative to the tensor's
+# largest float64 entry: 4.8e-6 at most over the six cases below on the commit
+# before the softmax was normalized on the context (4.4e-6 after)
+GRAD_F32_RTOL = 1.5e-5
+
+
+class TestFloat32Gradients:
+    @pytest.mark.parametrize("boost_mode", ["residual_gate", "attention_score"])
+    def test_float32_gradients_match_the_float64_ones(self, boost_mode):
+        cfg = ModelConfig(boost_mode=boost_mode)
+        m32 = build_model(cfg, seed=0)
+        rng = np.random.default_rng(9)
+        for name, p in m32.params.items():  # nonzero LoRA B, gate and heads
+            if name.endswith(".lora_b") or name.startswith(("gate.", "heads.")):
+                p[...] = rng.standard_normal(p.shape) * 0.1
+        m64 = EncoderModel(config=cfg, seed=0, params={
+            k: v.astype(np.float64) for k, v in m32.params.items()})
+        for length in (57, 258, 383):
+            ex = toy_example(n_ctx=length - 11, n_q=8, vocab_size=cfg.vocab_size, seed=length,
+                             gold=(13, 17))
+            ex.boost[rng.random(length) < 0.1] = 2.41
+            loss32, g32 = qa_loss_and_grads(m32, ex)
+            loss64, g64 = qa_loss_and_grads(m64, ex)
+            assert g32.keys() == g64.keys()
+            assert abs(loss32 - loss64) <= 1e-5 * abs(loss64), length
+            for name in g64:
+                assert g32[name].dtype == np.float32, name
+                if name.endswith(".bias"):  # a softmax gradient sums to 0: rounding alone
+                    assert abs(float(g32[name])) <= 1e-6, (length, name)
+                    continue
+                gap = np.max(np.abs(g32[name] - g64[name])) / np.max(np.abs(g64[name]))
+                assert gap <= GRAD_F32_RTOL, (length, name, gap)
+
+
 # float32 rounding: a padded batch runs other matmul shapes than one example;
 # the real rows differed from the single forward by at most 5.4e-7 in 200 trials
 PADDED_ATOL = 1e-5
@@ -409,6 +450,19 @@ class TestPaddedBatch:
         with pytest.raises(ValueError, match="boost vector length|lengths"):
             encoder_forward(small_model, np.zeros(ids_shape, dtype=int), np.ones(boost_shape),
                             lengths=None if lengths is None else np.array(lengths))
+
+    @pytest.mark.parametrize("boost_mode", ["residual_gate", "attention_score", "off"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+    def test_a_boost_that_is_not_finite_and_at_least_one_is_refused(self, boost_mode, bad):
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=16, lora_rank=2,
+                          max_rel_distance=2, boost_mode=boost_mode)
+        model = build_model(cfg, seed=0)
+        boost = np.array([1.0, 2.0, bad, 1.0])
+        with pytest.raises(ValueError, match="boost values must be finite and >= 1.0"):
+            encoder_forward(model, np.arange(4, 8), boost)
+        with pytest.raises(ValueError, match="boost values must be finite and >= 1.0"):
+            encoder_forward(model, np.arange(4, 12).reshape(2, 4), np.stack([np.ones(4), boost]),
+                            lengths=np.array([4, 4]))
 
     def test_a_batch_keeps_no_caches(self, small_model):
         with pytest.raises(ValueError, match="one example"):
