@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gating
 from .gating import GateParams
@@ -799,15 +798,24 @@ def qa_loss_and_grads(
     loss, dstart, dend = _span_loss_and_grads(start, end, example.gold_span)
 
     p = model.params
+    # A softmax's logit gradient sums to 0, so a head bias's gradient is exactly
+    # 0; dstart.sum() would be rounding noise, which AdamW scales up to steps.
     grads: dict[str, np.ndarray] = {
         "heads.start.weight": hidden.T @ dstart,
-        "heads.start.bias": np.asarray(dstart.sum(), dtype=p["heads.start.bias"].dtype),
+        "heads.start.bias": np.zeros_like(p["heads.start.bias"]),
         "heads.end.weight": hidden.T @ dend,
-        "heads.end.bias": np.asarray(dend.sum(), dtype=p["heads.end.bias"].dtype),
+        "heads.end.bias": np.zeros_like(p["heads.end.bias"]),
     }
     dh = np.outer(dstart, p["heads.start.weight"]) + np.outer(dend, p["heads.end.weight"])
     grads.update(encoder_backward(model, dh, caches))
     return loss, {k: v for k, v in grads.items() if param_group(k) in trainable_groups}
+
+
+def _band(padded: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The (rows, width) view of contiguous 1-D ``padded`` whose row s is
+    ``padded[s:s + width]``; ``padded`` needs rows + width - 1 entries."""
+    step = padded.strides[0]
+    return np.ndarray((rows, width), padded.dtype, padded, strides=(step, step))
 
 
 @dataclass(frozen=True)
@@ -834,13 +842,13 @@ def predict_span(
     if len(end_logits) != n or len(example) != n:
         raise ValueError("logit length does not match the example")
     in_context = example.segment_flags == SEG_CONTEXT
-    tail = np.zeros(max_answer_len - 1, dtype=end_logits.dtype)  # np.pad: 10x slower
-    ends = sliding_window_view(np.concatenate([end_logits, tail]), max_answer_len)
-    context_padded = np.concatenate([in_context, tail.astype(bool)])
-    valid = in_context[:, None] & sliding_window_view(context_padded, max_answer_len)
-    if not valid.any():
+    if not in_context.any():  # the band's k = 0 column is in_context itself
         raise ValueError("no candidate span")
-    masked = np.where(valid, start_logits[:, None] + ends, -np.inf)
+    # strided views, not sliding_window_view: its checks cost a third of a decode
+    tail = np.zeros(max_answer_len - 1, dtype=end_logits.dtype)  # np.pad: 10x slower
+    ends = _band(np.concatenate([end_logits, tail]), n, max_answer_len)
+    context_band = _band(np.concatenate([in_context, tail.astype(bool)]), n, max_answer_len)
+    masked = np.where(in_context[:, None] & context_band, start_logits[:, None] + ends, -np.inf)
     s, k = divmod(int(np.argmax(masked)), max_answer_len)
     return SpanPrediction(start=s, end=s + k, score=float(masked[s, k]))
 

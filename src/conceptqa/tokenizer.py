@@ -14,6 +14,7 @@ source word so that a word-level boost factor can be spread over its pieces.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import ConceptDictionary
-from .text import normalize_words, read_json_object, words_with_spans, write_json
+from .text import normalize_words, read_json_object, write_json
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
@@ -34,9 +35,11 @@ SEG_CONTEXT = 2
 
 DEFAULT_MAX_LEN = 384
 
-# Most distinct words a Vocab's encode memo keeps; later new words are split
-# each time they occur.
+# Most entries each of a Vocab's two encode memos keeps (distinct words; distinct
+# raw tokens); later new ones are split or normalized each time they occur.
 ENCODE_MEMO_SIZE = 1 << 16
+
+_RAW_TOKEN = re.compile(r"\S+")
 
 
 @dataclass
@@ -46,6 +49,10 @@ class Vocab:
     # word -> piece ids, filled by encode_words; not part of the vocabulary
     _memo: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False,
                                                default_factory=dict)
+    # raw context token -> its normalized words, filled by encode_qa; not part
+    # of the vocabulary either
+    _fragment_memo: dict[str, tuple[str, ...]] = field(init=False, repr=False,
+                                                        compare=False, default_factory=dict)
 
     def __post_init__(self):
         if type(self.pieces) is not list or not all(type(p) is str for p in self.pieces):
@@ -252,18 +259,31 @@ class TokenizedExample:
         return vocab.decode(self.token_ids[s:e + 1])
 
 
-def _fragments(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+def _fragments(text: str, memo: dict[str, tuple[str, ...]] | None = None,
+               ) -> tuple[list[str], list[tuple[int, int]]]:
     """Normalized word fragments of raw text with the raw span they came from.
 
     A raw whitespace token can normalize to zero fragments (pure punctuation)
     or several ("one/two"); every fragment inherits the raw token's span.
+    Each distinct raw token is normalized once; its fragments are kept in
+    ``memo`` (a fresh dict when None), up to ``ENCODE_MEMO_SIZE`` tokens.
     """
+    memo = {} if memo is None else memo
     words: list[str] = []
     spans: list[tuple[int, int]] = []
-    for raw, start, end in words_with_spans(text):
-        for frag in normalize_words(raw):
-            words.append(frag)
-            spans.append((start, end))
+    for m in _RAW_TOKEN.finditer(text):
+        raw = m.group()
+        frags = memo.get(raw)
+        if frags is None:
+            frags = tuple(normalize_words(raw))
+            if len(memo) < ENCODE_MEMO_SIZE:
+                memo[raw] = frags
+        if len(frags) == 1:  # most raw tokens
+            words.append(frags[0])
+            spans.append(m.span())
+        elif frags:
+            words += frags
+            spans += [m.span()] * len(frags)
     return words, spans
 
 
@@ -308,7 +328,7 @@ def encode_qa(
     when the total would exceed ``max_len``.
     """
     q_words = question_words(question)
-    c_words, c_spans = _fragments(context)
+    c_words, c_spans = _fragments(context, vocab._fragment_memo)
 
     q_ids, q_counts = vocab.encode_words(q_words)
     if 1 + len(q_ids) + 1 > max_len // 2:
@@ -374,8 +394,11 @@ def build_boost_vector(example: TokenizedExample, dictionary: ConceptDictionary)
     its n pieces in the sequence; non-dictionary words and special markers
     stay at the neutral 1.0.
     """
-    owners = example.word_index
-    counts = np.bincount(owners[owners >= 0], minlength=len(example.words)).tolist()
-    per_word = [1.0 + (dictionary.boost_of(word) - 1.0) / n if n else 1.0
-                for word, n in zip(example.words, counts)]
-    return np.array(per_word + [1.0])[owners]  # the trailing 1.0 serves the markers' -1
+    owners, words = example.word_index, example.words
+    entries = dictionary.entries
+    counts = np.bincount(owners[owners >= 0], minlength=len(words)).tolist()
+    per_word = [1.0] * (len(words) + 1)  # the last 1.0 serves the markers' -1
+    for i, word in enumerate(words):
+        if word in entries and counts[i]:
+            per_word[i] = 1.0 + (dictionary.boost_of(word) - 1.0) / counts[i]
+    return np.array(per_word)[owners]

@@ -584,6 +584,54 @@ class TestPredictSpan:
         with pytest.raises(ValueError, match="no candidate span"):
             predict_span(np.zeros(len(ex)), np.zeros(len(ex)), ex, 30)
 
+    @settings(max_examples=300, deadline=None)
+    @given(flags=st.lists(st.sampled_from([SEG_SPECIAL, SEG_QUESTION, SEG_CONTEXT]),
+                          min_size=1, max_size=40),
+           max_answer_len=st.integers(1, 12), dtype=st.sampled_from([np.float32, np.float64]),
+           data=st.data())
+    def test_matches_the_double_loop(self, flags, max_answer_len, dtype, data):
+        # logits from a few values, so that scores tie; context masks with gaps;
+        # lengths both below and above max_answer_len
+        n = len(flags)
+        logits = st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]) | st.floats(-3, 3),
+                          min_size=n, max_size=n)
+        start, end = (np.asarray(data.draw(logits), dtype=dtype) for _ in range(2))
+        ex = toy_example()
+        ex.segment_flags = np.asarray(flags, dtype=np.int8)
+        ex.token_ids = ex.token_ids[:1].repeat(n)
+        best = None
+        for s in range(n):
+            for e in range(s, min(n, s + max_answer_len)):
+                if flags[s] == flags[e] == SEG_CONTEXT and (best is None
+                                                            or start[s] + end[e] > best[0]):
+                    best = (start[s] + end[e], s, e)  # strict >: the first pair keeps a tie
+        if best is None:
+            with pytest.raises(ValueError, match="no candidate span"):
+                predict_span(start, end, ex, max_answer_len)
+            return
+        pred = predict_span(start, end, ex, max_answer_len)
+        assert (pred.start, pred.end, pred.score) == (best[1], best[2], float(best[0]))
+
+
+class TestHeadBiasGradients:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_head_bias_gradients_are_exactly_zero(self, dtype):
+        # a softmax's logit gradient sums to 0, so each head bias's gradient is
+        # exactly 0, not the rounding left by summing the logit gradients
+        cfg = ModelConfig(layers=2, hidden=8, heads=2, vocab_size=32, lora_rank=2,
+                          max_rel_distance=2)
+        model = build_model(cfg, seed=0, dtype=dtype)
+        rng = np.random.default_rng(3)
+        for name, p in model.params.items():
+            if name.startswith("heads."):
+                p[...] = rng.standard_normal(p.shape)
+        for n_ctx in (5, 60):
+            ex = toy_example(n_ctx=n_ctx, n_q=3, vocab_size=32, seed=n_ctx, gold=(6, 8))
+            _, grads = qa_loss_and_grads(model, ex)
+            for name in ("heads.start.bias", "heads.end.bias"):
+                g = grads[name]
+                assert g.dtype == dtype and g.shape == () and g == 0.0, (n_ctx, name, g)
+
 
 class TestFullModelGradients:
     def test_every_trainable_group_matches_finite_differences(self):

@@ -315,16 +315,22 @@ class TestVocabSerialization:
 
 
 class TestEncodeMemo:
-    """Each Vocab splits a distinct word once and keeps its ids in a bounded
-    memo of its own, which nothing else of the vocabulary shows."""
+    """Each Vocab splits a distinct word once and normalizes a distinct raw
+    context token once, and keeps each in a bounded memo of its own, which
+    nothing else of the vocabulary shows."""
+
+    MEMOS = ("_memo", "_fragment_memo")
 
     def test_memo_belongs_to_one_vocabulary(self, tmp_path, tiny_fixture, tiny_vocab):
         save_vocab(tiny_vocab, tmp_path / "vocab.json")
         loaded, other = load_vocab(tmp_path / "vocab.json"), Vocab(list(tiny_vocab.pieces))
-        assert loaded._memo == {} and other._memo == {}
-        loaded.encode_words(normalize_words(tiny_fixture.records[0].context))
-        assert loaded._memo and other._memo == {}
-        assert loaded._memo is not other._memo
+        rec = tiny_fixture.records[0]
+        for name in self.MEMOS:
+            assert getattr(loaded, name) == {} and getattr(other, name) == {}
+        encode_qa(rec.question, rec.context, loaded)
+        for name in self.MEMOS:
+            assert getattr(loaded, name) and getattr(other, name) == {}
+            assert getattr(loaded, name) is not getattr(other, name)
 
     def test_memo_is_bounded(self, monkeypatch, tiny_fixture, tiny_vocab):
         monkeypatch.setattr(tokenizer, "ENCODE_MEMO_SIZE", 5)
@@ -339,10 +345,27 @@ class TestEncodeMemo:
             assert ids == [i for word_ids in expected for i in word_ids]
             assert counts == [len(word_ids) for word_ids in expected]
 
+    def test_fragment_memo_is_bounded(self, monkeypatch, tiny_fixture, tiny_vocab):
+        monkeypatch.setattr(tokenizer, "ENCODE_MEMO_SIZE", 5)
+        # first, so that tokens of several words or none fill the memo
+        records = [("what?", "One/two ʿ ... one/two Ṣaḥīḥ, ṣaḥīḥ ʿ")]
+        records += [(r.question, r.context) for r in tiny_fixture.records]
+        assert len({raw for _, context in records for raw in context.split()}) > 5
+        vocab = Vocab(list(tiny_vocab.pieces))
+        for _ in range(2):  # filling the memo, then reading it
+            for question, context in records:
+                ex = encode_qa(question, context, vocab)
+                assert (ex.words[ex.n_question_words:], ex.context_word_spans) == \
+                    tokenizer._fragments(context)
+            assert 0 < len(vocab._fragment_memo) <= 5
+        assert all(frags == tuple(normalize_words(raw))
+                   for raw, frags in vocab._fragment_memo.items())
+
     def test_memo_is_invisible(self, tmp_path, tiny_fixture, tiny_vocab):
         fresh, warm = Vocab(list(tiny_vocab.pieces)), Vocab(list(tiny_vocab.pieces))
-        warm.encode_words(normalize_words(tiny_fixture.records[0].context))
-        assert warm._memo
+        rec = tiny_fixture.records[0]
+        encode_qa(rec.question, rec.context, warm)
+        assert warm._memo and warm._fragment_memo
         assert fresh == warm and repr(fresh) == repr(warm)
         save_vocab(fresh, tmp_path / "fresh.json")
         save_vocab(warm, tmp_path / "warm.json")
@@ -353,13 +376,15 @@ class TestEncodeMemo:
         vocab = Vocab(list(tiny_vocab.pieces))
         cold, _ = encode_dataset(tiny_fixture.records, vocab, builtin_dict)
         warm, _ = encode_dataset(tiny_fixture.records, vocab, builtin_dict)
-        assert vocab._memo
+        assert vocab._memo and vocab._fragment_memo
         for a, b in zip(cold, warm, strict=True):
             for name in ("token_ids", "segment_flags", "word_index", "boost"):
                 x, y = getattr(a.example, name), getattr(b.example, name)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-            assert (a.example.gold_span, a.example.words, a.example.word_piece_counts) == \
-                (b.example.gold_span, b.example.words, b.example.word_piece_counts)
+            assert (a.example.gold_span, a.example.words, a.example.word_piece_counts,
+                    a.example.context_word_spans) == \
+                (b.example.gold_span, b.example.words, b.example.word_piece_counts,
+                 b.example.context_word_spans)
 
 
 def test_transliteration_normalization():

@@ -2,9 +2,12 @@
 references byte for byte.
 
 Random vocabularies (random pieces plus a random set of single letters, so
-words split into several pieces or fall back to [UNK]), random contexts and
-questions over a small alphabet, and ``max_len`` from "question too long" to
-"no truncation" drive ``encode_word``, ``encode_qa``, ``align_answer_span``
+words split into several pieces or fall back to [UNK]), random questions over
+a small alphabet, random contexts whose raw tokens also hold punctuation and
+transliterated characters, normalize to several words or none, and repeat
+(so a vocabulary's raw-token memo is both missed and hit, cold and warm, and
+bounded at 0, 3 or its full size), and ``max_len`` from "question too long"
+to "no truncation" drive ``encode_word``, ``encode_qa``, ``align_answer_span``
 and ``build_boost_vector`` through both implementations.  Random corpora over
 two letters drive both ``train_vocab`` implementations through repeated
 symbols, count ties and target sizes from below the minimum to past
@@ -12,15 +15,16 @@ saturation; synthetic corpora check whole ``vocab.json`` files.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import tokenizer_reference as ref
-from conceptqa import synthetic
+from conceptqa import synthetic, tokenizer
 from conceptqa.dictionary import ConceptDictionary, ConceptEntry
-from conceptqa.text import normalize_words
+from conceptqa.text import TRANSLITERATION, normalize_words
 from conceptqa.tokenizer import (
     CONT,
     SPECIALS,
@@ -35,6 +39,11 @@ from conceptqa.tokenizer import (
 
 ALPHABET = "abcde"
 WORD = st.text(ALPHABET, min_size=1, max_size=6)
+# a raw context token: a word, several words ("one/two"), none ("ʿ", "."), or
+# letters mixed with transliterated characters and punctuation
+RAW_TOKEN = st.one_of(
+    WORD, st.tuples(WORD, WORD).map("/".join), st.sampled_from([".", "ʿ", "--", "(a)"]),
+    st.text(ALPHABET + "AĀ" + "".join(TRANSLITERATION) + ".,;/'-", min_size=1, max_size=6))
 
 
 def assert_same_example(got: TokenizedExample, want: TokenizedExample) -> None:
@@ -80,22 +89,27 @@ def dictionaries(draw, words):
 @given(data=st.data())
 def test_encoder_matches_reference(data):
     vocab = data.draw(vocabularies())
-    tokens = data.draw(st.lists(
-        st.one_of(WORD, st.tuples(WORD, WORD).map("/".join), st.just(".")),
-        min_size=0, max_size=50))
+    pool = data.draw(st.lists(RAW_TOKEN, min_size=1, max_size=8))  # tokens that repeat
+    tokens = data.draw(st.lists(st.one_of(st.sampled_from(pool), RAW_TOKEN),
+                                min_size=0, max_size=50))
     context = " ".join(tokens)
     question = " ".join(data.draw(st.lists(WORD, min_size=0, max_size=4)))
     max_len = data.draw(st.integers(1, 140))
+    memo_size = data.draw(st.sampled_from([0, 3, tokenizer.ENCODE_MEMO_SIZE]))
 
     for word in normalize_words(f"{question} {context}"):
         assert vocab.encode_word(word) == ref.encode_word(vocab, word)
 
     want = outcome(ref.encode_qa, question, context, vocab, max_len)
-    got = outcome(encode_qa, question, context, vocab, max_len)
+    with mock.patch.object(tokenizer, "ENCODE_MEMO_SIZE", memo_size):
+        got = outcome(encode_qa, question, context, vocab, max_len)
+        warm = outcome(encode_qa, question, context, vocab, max_len)  # from the memo
+    assert len(vocab._fragment_memo) <= memo_size
     if not isinstance(want, TokenizedExample):
-        assert got == want
+        assert got == want and warm == want
         return
     assert_same_example(got, want)
+    assert_same_example(warm, want)
 
     dictionary = data.draw(dictionaries(want.words))
     b_got, b_want = build_boost_vector(got, dictionary), ref.build_boost_vector(want, dictionary)

@@ -3,8 +3,10 @@ replaced, kept as references.
 
 ``test_tokenizer_reference.py`` checks that the slicing encoder in
 ``conceptqa.tokenizer`` gives the same bytes, dtypes and values as the four
-encoder functions here, and that the incremental ``train_vocab`` returns the
-same pieces, or raises the same error, as the one here, on random corpora.
+encoder functions here, which split raw text with their own ``_fragments``
+(one ``normalize_words`` call per raw token, no memo), and that the
+incremental ``train_vocab`` returns the same pieces, or raises the same error,
+as the one here, on random corpora.
 They are deliberately written the long way: one piece at a time, one mask per
 word, every pair recounted in every word each merge round.
 """
@@ -13,7 +15,7 @@ from collections import Counter
 
 import numpy as np
 
-from conceptqa.text import normalize_words
+from conceptqa.text import normalize_words, words_with_spans
 from conceptqa.tokenizer import (
     CLS,
     CONT,
@@ -25,8 +27,16 @@ from conceptqa.tokenizer import (
     UNK,
     TokenizedExample,
     Vocab,
-    _fragments,
 )
+
+
+def _fragments(text):
+    words, spans = [], []
+    for raw, start, end in words_with_spans(text):
+        for frag in normalize_words(raw):
+            words.append(frag)
+            spans.append((start, end))
+    return words, spans
 
 
 def encode_word(vocab, word):
