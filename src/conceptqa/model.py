@@ -15,13 +15,14 @@ and position-content interactions over a clipped relative-position table,
 scaled by 1/sqrt(3 * head_dim).  A concept-gated residual block sits between
 each attention sub-layer and its FFN.
 
-``encoder_forward`` runs one example, token ids (L,), or a padded batch
+``encoder_forward`` and ``encoder_backward`` run a padded batch, token ids
 (B, L): each row's real tokens first, then padding up to the longest row,
-with the real length of each row given.  Padded keys take a -inf score bias,
-so a real row attends to its own tokens only.  The position-wise layers run
-on the B·L rows flattened and the attention on (B, heads, L, L) scores;
-``evaluation.ROW_BUDGET`` caps B·L per inference forward.  The backward runs
-on one example.
+with the real length of each row given.  One example, token ids (L,), is a
+batch of one.  Padded keys take a -inf score bias, so a real row attends to
+its own tokens only.  The position-wise layers run on the B·L rows flattened
+and the attention on (B, heads, L, L) scores; the backward sums a batch's
+gradients over its rows.  ``evaluation.ROW_BUDGET`` caps B·L per inference
+forward.
 """
 
 from __future__ import annotations
@@ -461,6 +462,18 @@ def _merge_heads(x):
     return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], -1)
 
 
+def _batch_rows(x):
+    """(B, heads, L, k) -> (heads, B·L, k): each head's rows over the whole batch."""
+    return x.swapaxes(0, 1).reshape(x.shape[1], -1, x.shape[3])
+
+
+def _merge_rows(xh, rh):
+    """The rows of xh (B, heads, L, dh), then of rh (heads, P, dh), heads merged:
+    (B·L + P, heads * dh), in the row order of ``_attention_fwd``'s projections."""
+    rows = np.concatenate([xh.swapaxes(1, 2).reshape(-1, *rh.shape[::2]), rh.swapaxes(0, 1)])
+    return rows.reshape(len(rows), -1)
+
+
 def _attn_params(params, layer, proj):
     pre = f"layer{layer}.attn.{proj}."
     return params[pre + "weight"], params[pre + "bias"], \
@@ -469,12 +482,14 @@ def _attn_params(params, layer, proj):
 
 def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None,
                    key_bias=None):
-    """Disentangled self-attention over h (L, d), or over a batch h (B, L, d).
+    """Disentangled self-attention over a batch h (B, L, d); one example is a
+    batch of one.
 
     ``runs`` is ``_rel_runs(L, config.max_rel_distance)``; it depends on L
     alone, so one set serves every layer and every row of a padded batch.
-    ``score_boost`` (shaped like h without d) multiplies each key's scores;
-    ``key_bias`` (B, L) is added to them, -inf on a batch's padded keys.
+    ``score_boost`` (B, L) multiplies each key's scores; ``key_bias`` (B, L)
+    is added to them, -inf on a batch's padded keys.  The relative-position
+    rows (P, d) are projected once and shared by every row of the batch.
 
     The cache holds the query rows already scaled by 1/sqrt(3 dh) and, in place
     of the probabilities, the unnormalized e = exp(s - rowmax) with 1/rowsum(e):
@@ -482,8 +497,8 @@ def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None
     """
     nh, dh = config.heads, config.head_dim
     scale = config.lora_scale
-    d = h.shape[-1]
-    n = h.size // d  # rows over the whole batch
+    batch, seq_len, d = h.shape
+    n = batch * seq_len  # rows over the whole batch
     flat = h.reshape(n, d)
     rel = params[f"layer{layer}.attn.rel_table"]
 
@@ -511,20 +526,20 @@ def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None
 
     # s = c2c + c2p + p2c, already scaled; the relative terms are their bins
     # repeated along rows (c2p) or columns (p2c)
-    s = qh @ kh.swapaxes(-1, -2)                                          # (..., nh, L, L)
-    a_c2p = (qh @ krh.swapaxes(-1, -2)).reshape(*s.shape[:-2], -1)        # (..., nh, L·P)
+    s = qh @ kh.swapaxes(-1, -2)                                          # (B, nh, L, L)
+    a_c2p = (qh @ krh.swapaxes(-1, -2)).reshape(batch, nh, -1)            # (B, nh, L·P)
     s += np.repeat(a_c2p, runs, axis=-1).reshape(s.shape)
-    a_p2c = (qrh @ kh.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(*s.shape[:-2], -1)
+    a_p2c = (qrh @ kh.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(batch, nh, -1)
     s += np.repeat(a_p2c, runs, axis=-1).reshape(s.shape).swapaxes(-1, -2)
     if score_boost is not None:
-        s *= score_boost[..., None, None, :]
+        s *= score_boost[:, None, None, :]
     if key_bias is not None:
         s += key_bias[:, None, None, :]
     # softmax(s) @ v = (e @ v) / r with e = exp(s - rowmax), built in place in s,
     # and the row sums r = e @ ones a BLAS product
     s -= s.max(axis=-1, keepdims=True)
     e = np.exp(s, out=s)
-    r_inv = 1.0 / (e @ np.ones(e.shape[-1], e.dtype))                    # (..., nh, L)
+    r_inv = 1.0 / (e @ np.ones(seq_len, e.dtype))                         # (B, nh, L)
     ctx = e @ vh
     ctx *= r_inv[..., None]
     ctx = _merge_heads(ctx).reshape(n, d)
@@ -535,13 +550,16 @@ def _attention_fwd(h, params, layer, config: ModelConfig, runs, score_boost=None
 
 
 def _attention_bwd(dout, cache, params, layer, config: ModelConfig, run_starts, score_boost):
-    """(dh, the (lora_a, lora_b) gradients of q, k, v and o) of one example;
-    ``run_starts`` is ``_run_starts`` of the runs its forward took, and
+    """(dh, the (lora_a, lora_b) gradients of q, k, v and o) of a batch: dout
+    and dh are the B·L rows (B·L, d) of the forward's output and input, as the
+    position-wise layers hold them, and the gradients sum over the batch.
+    ``run_starts`` is ``_run_starts`` of the runs the forward took, and
     ``score_boost`` the boost it took."""
     nh, dh = config.heads, config.head_dim
     scale = config.lora_scale
     qh, kh, vh, qrh, krh, e, r_inv, cq, ck, cv, co = cache
-    seq_len = qh.shape[-2]
+    batch, _, seq_len, _ = qh.shape
+    n = batch * seq_len
 
     wq, _, aq, bbq = _attn_params(params, layer, "q")
     wk, _, ak, bbk = _attn_params(params, layer, "k")
@@ -552,41 +570,44 @@ def _attention_bwd(dout, cache, params, layer, config: ModelConfig, run_starts, 
 
     # the softmax adjoint from e and r = 1 / r_inv, with prob = e / r:
     # ds = prob * (dctx vᵀ - D) = e * (g vᵀ - D / r), g = dctx / r, where
-    # D = rowsum(dctx * ctx) per head, from the (L, d) context the o cache holds
-    dd = ((dctx2 * co[0]).reshape(seq_len, nh, dh) @ np.ones(dh, e.dtype)).T   # (nh, L)
+    # D = rowsum(dctx * ctx) per head, from the (B·L, d) context the o cache holds
+    dd = (dctx2 * co[0]).reshape(batch, seq_len, nh, dh) @ np.ones(dh, e.dtype)
+    dd = dd.swapaxes(-1, -2)                                              # (B, nh, L)
     dd *= r_inv
-    g = _split_heads(dctx2, nh) * r_inv[..., None]
-    ds = g @ vh.transpose(0, 2, 1)
-    dvh = e.transpose(0, 2, 1) @ g
+    g = dctx2.reshape(batch, seq_len, nh, dh).swapaxes(1, 2) * r_inv[..., None]
+    ds = g @ vh.swapaxes(-1, -2)
+    dvh = e.swapaxes(-1, -2) @ g
     ds -= dd[..., None]
     ds *= e
     if score_boost is not None:
-        ds *= score_boost[None, None, :]
+        ds *= score_boost[:, None, None, :]
 
     # content-content
     dqh = ds @ kh
-    dkh = ds.transpose(0, 2, 1) @ qh
+    dkh = ds.swapaxes(-1, -2) @ qh
     # the adjoint of the forward's repeat: each bin's gradient is the sum of its
-    # run, over ds row-major for c2p and transposed for p2c
+    # run, over each (L, L) block of ds row-major for c2p and transposed for p2c
     starts, nonempty = run_starts
-    da_c2p = np.add.reduceat(ds.reshape(nh, -1), starts, axis=1) * nonempty
-    ds_t = np.ascontiguousarray(ds.transpose(0, 2, 1)).reshape(nh, -1)
-    da_p2c = np.add.reduceat(ds_t, starts, axis=1) * nonempty
-    da_c2p = da_c2p.reshape(nh, seq_len, -1)                      # (nh, L, P)
-    da_p2c = da_p2c.reshape(nh, seq_len, -1).transpose(0, 2, 1)   # (nh, P, L)
+    da_c2p = np.add.reduceat(ds.reshape(batch * nh, -1), starts, axis=-1) * nonempty
+    ds_t = np.ascontiguousarray(ds.swapaxes(-1, -2)).reshape(batch * nh, -1)
+    da_p2c = np.add.reduceat(ds_t, starts, axis=-1) * nonempty
+    da_c2p = da_c2p.reshape(batch, nh, seq_len, -1)   # (B, nh, L, P)
+    da_p2c = da_p2c.reshape(batch, nh, seq_len, -1)   # (B, nh, L, P), bins of columns
     dqh += da_c2p @ krh
-    dkrh = da_c2p.transpose(0, 2, 1) @ qh
-    dqrh = da_p2c @ kh
-    dkh += da_p2c.transpose(0, 2, 1) @ qrh
+    dkh += da_p2c @ qrh
+    # every row of the batch reads the same relative rows, so their gradients
+    # contract over the rows of the whole batch
+    dkrh = _batch_rows(da_c2p).swapaxes(-1, -2) @ _batch_rows(qh)        # (nh, P, dh)
+    dqrh = _batch_rows(da_p2c).swapaxes(-1, -2) @ _batch_rows(kh)
 
     # the relative table is frozen: its rows feed only the LoRA gradients
-    dq = _merge_heads(np.concatenate([dqh, dqrh], axis=1))
+    dq = _merge_rows(dqh, dqrh)
     dq *= 1.0 / math.sqrt(3.0 * dh)  # the forward's score scale, on the query rows
-    dk = _merge_heads(np.concatenate([dkh, dkrh], axis=1))
+    dk = _merge_rows(dkh, dkrh)
     dh_q, daq, dbbq = _lin_bwd(dq, wq, aq, bbq, scale, cq)
     dh_k, dak, dbbk = _lin_bwd(dk, wk, ak, bbk, scale, ck)
-    dh_v, dav, dbbv = _lin_bwd(_merge_heads(dvh), wv, av, bbv, scale, cv)
-    return (dh_q[:seq_len] + dh_k[:seq_len] + dh_v,
+    dh_v, dav, dbbv = _lin_bwd(_merge_heads(dvh).reshape(n, -1), wv, av, bbv, scale, cv)
+    return (dh_q[:n] + dh_k[:n] + dh_v,
             ((daq, dbbq), (dak, dbbk), (dav, dbbv), (dao, dbbo)))
 
 
@@ -634,23 +655,24 @@ def encoder_forward(
     return_caches: bool = False,
     lengths: np.ndarray | None = None,
 ):
-    """Run the full encoder stack; returns final hidden states (L, d), and with
-    ``return_caches`` the caches (flags, gate, runs, score_boost, layers), each
-    layer's (attn, ln1, gate, gelu, ln2).  The attention cache holds the scaled
-    query rows and the softmax as e = exp(s - rowmax) and 1/rowsum(e), with no
-    normalized (heads, L, L) probabilities.  Every boost must be finite and
-    >= 1, in every boost mode.
+    """Run the full encoder stack on one example, token ids and boosts (L,),
+    or on a padded batch (B, L); returns the final hidden states (L, d) or
+    (B, L, d), and with ``return_caches`` the caches ``encoder_backward``
+    reads: (flags, gate, runs, score_boost, layers), each layer's (attn, ln1,
+    gate, gelu, ln2).  The attention cache holds the scaled query rows and the
+    softmax as e = exp(s - rowmax) and 1/rowsum(e), with no normalized
+    (B, heads, L, L) probabilities.  Every boost must be finite and >= 1, in
+    every boost mode.
 
     Per layer: disentangled attention -> residual + LayerNorm -> concept gate
     (by gate/boost mode) -> FFN -> residual + LayerNorm.
 
-    A padded batch: ``token_ids`` and ``boost`` are (B, L), row b holds its
-    ``lengths[b]`` real tokens then padding (any in-range id, boost 1), and the
-    result is (B, L, d).  Padded keys are masked out of every softmax, so a
-    real row's states equal its own forward's up to float rounding; a padded
-    position's states mean nothing.  ``lengths`` None means no padding.  The
-    position-wise layers run on the B·L rows flattened; caches for
-    ``encoder_backward`` exist for one example only.
+    One example runs as a batch of one.  In a padded batch, row b holds its
+    ``lengths[b]`` real tokens then padding (any in-range id, boost 1).
+    Padded keys are masked out of every softmax, so a real row's states equal
+    its own forward's up to float rounding; a padded position's states mean
+    nothing.  ``lengths`` None means no padding.  The position-wise layers run
+    on the B·L rows flattened.
     """
     cfg = model.config
     params = model.params
@@ -661,9 +683,10 @@ def encoder_forward(
                          f"boost {boost.shape}, ids {token_ids.shape}")
     if not (1.0 <= boost.min(initial=1.0) and boost.max(initial=1.0) < np.inf):  # NaN fails
         raise ValueError("boost values must be finite and >= 1.0")
-    key_bias = _key_bias(lengths, token_ids.shape, boost.dtype)
-    if return_caches and token_ids.ndim != 1:
-        raise ValueError("caches are kept for one example, not for a batch")
+    key_bias = _key_bias(lengths, token_ids.shape, boost.dtype)  # lengths need (B, L) ids
+    out_shape = (*token_ids.shape, cfg.hidden)
+    token_ids = token_ids.reshape(-1, token_ids.shape[-1])  # one example: a batch of one
+    boost = boost.reshape(token_ids.shape)
     if cfg.boost_mode == BOOST_OFF:
         boost = np.ones_like(boost)  # dictionary signal fully absent
 
@@ -678,7 +701,7 @@ def encoder_forward(
     # one concept gate, shared by every layer
     gate = None if cfg.gate_mode == GATE_OFF else GateParams(params["gate.w"], params["gate.b"])
     layers = []
-    runs = _rel_runs(shape[-2], cfg.max_rel_distance)
+    runs = _rel_runs(shape[1], cfg.max_rel_distance)
 
     for layer in range(cfg.layers):
         attn_out, attn_cache = _attention_fwd(h.reshape(shape), params, layer, cfg, runs,
@@ -699,19 +722,22 @@ def encoder_forward(
         )
         if return_caches:  # else each layer's activations are freed as the next runs
             layers.append((attn_cache, ln1_cache, gate_cache, gelu_cache, ln2_cache))
-    h = h.reshape(shape)
+    h = h.reshape(out_shape)
     if return_caches:
         return h, (flags, gate, runs, score_boost, layers)
     return h
 
 
 def encoder_backward(model: EncoderModel, dh: np.ndarray, caches) -> dict[str, np.ndarray]:
-    """Backpropagate dL/dh through the stack; returns grads for adaptable params:
-    the gate's, each layer's LoRA pairs from the last layer down, the domain term's."""
+    """Backpropagate dL/dh, shaped like ``encoder_forward``'s output, through the
+    stack; returns grads for adaptable params, summed over a batch's rows: the
+    gate's, each layer's LoRA pairs from the last layer down, the domain term's."""
     cfg = model.config
     params = model.params
     grads: dict[str, np.ndarray] = {}
     flags, gate, runs, score_boost, layers = caches
+    flags = flags.reshape(-1)
+    dh = dh.reshape(flags.size, -1)  # the position-wise layers' B·L rows
     run_starts = _run_starts(runs)  # L alone fixes them, so every layer shares them
 
     for layer in reversed(range(cfg.layers)):

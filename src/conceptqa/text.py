@@ -35,6 +35,8 @@ TRANSLITERATION = {
 
 _TRANSLIT_TABLE = str.maketrans(TRANSLITERATION)
 _PUNCT_RE = re.compile(r"[^\w\s]")
+# A raw token: a maximal run of non-whitespace, before any normalization.
+RAW_TOKEN = re.compile(r"\S+")
 
 
 def normalize_words(text: str) -> list[str]:
@@ -54,7 +56,7 @@ def words_with_spans(text: str) -> list[tuple[str, int, int]]:
     Spans index the original string, so they stay valid for answer-offset
     bookkeeping even though the word content is later normalized.
     """
-    return [(m.group(0), m.start(), m.end()) for m in re.finditer(r"\S+", text)]
+    return [(m.group(0), m.start(), m.end()) for m in RAW_TOKEN.finditer(text)]
 
 
 JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer",

@@ -14,7 +14,6 @@ source word so that a word-level boost factor can be spread over its pieces.
 from __future__ import annotations
 
 import heapq
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import ConceptDictionary
-from .text import normalize_words, read_json_object, write_json
+from .text import RAW_TOKEN, normalize_words, read_json_object, write_json
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
@@ -38,8 +37,6 @@ DEFAULT_MAX_LEN = 384
 # Most entries each of a Vocab's two encode memos keeps (distinct words; distinct
 # raw tokens); later new ones are split or normalized each time they occur.
 ENCODE_MEMO_SIZE = 1 << 16
-
-_RAW_TOKEN = re.compile(r"\S+")
 
 
 @dataclass
@@ -271,7 +268,7 @@ def _fragments(text: str, memo: dict[str, tuple[str, ...]] | None = None,
     memo = {} if memo is None else memo
     words: list[str] = []
     spans: list[tuple[int, int]] = []
-    for m in _RAW_TOKEN.finditer(text):
+    for m in RAW_TOKEN.finditer(text):
         raw = m.group()
         frags = memo.get(raw)
         if frags is None:

@@ -153,9 +153,13 @@ def loop_attention(h, params, layer, cfg):
 
 
 def attention_fwd(h, params, layer, cfg, score_boost=None):
-    """``_attention_fwd`` with the relative-position runs ``encoder_forward`` passes."""
+    """``_attention_fwd`` on one example h (L, d) as a batch of one, with the
+    relative-position runs ``encoder_forward`` passes: the (L, d) output and
+    the batch's cache."""
     runs = M._rel_runs(h.shape[-2], cfg.max_rel_distance)
-    return M._attention_fwd(h, params, layer, cfg, runs, score_boost)
+    out, cache = M._attention_fwd(h[None], params, layer, cfg, runs,
+                                  None if score_boost is None else score_boost[None])
+    return out[0], cache
 
 
 class TestDisentangledAttention:
@@ -181,7 +185,7 @@ class TestDisentangledAttention:
                   for p in "qk")
         expect = np.exp((qh @ kh.transpose(0, 2, 1)) / math.sqrt(3 * cfg.head_dim))
         expect = expect / expect.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(prob, expect, atol=1e-12)
+        np.testing.assert_allclose(prob[0], expect, atol=1e-12)
 
     def test_matches_loop_oracle_one_head(self):
         cfg = ModelConfig(layers=1, hidden=4, heads=1, vocab_size=16, lora_rank=2,
@@ -464,10 +468,117 @@ class TestPaddedBatch:
             encoder_forward(model, np.arange(4, 12).reshape(2, 4), np.stack([np.ones(4), boost]),
                             lengths=np.array([4, 4]))
 
-    def test_a_batch_keeps_no_caches(self, small_model):
-        with pytest.raises(ValueError, match="one example"):
-            encoder_forward(small_model, np.zeros((2, 5), dtype=int), np.ones((2, 5)),
-                            return_caches=True)
+
+def padded_batch(cfg, lengths, seed, dtype=np.float32):
+    """A model with nonzero LoRA B and gate tensors, and a padded batch for it:
+    ids and boosts (B, L) with random padding, and an upstream gradient dh
+    (B, L, d) that is zero on the padding."""
+    model = build_model(cfg, seed=1, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name, p in model.params.items():
+        if name.endswith(".lora_b") or name.startswith("gate."):
+            p[...] = rng.standard_normal(p.shape) * 0.3
+    shape = (len(lengths), max(lengths))
+    ids = rng.integers(0, cfg.vocab_size, shape)
+    boost = np.where(rng.random(shape) < 0.4, rng.uniform(1.0, 3.0, shape), 1.0)
+    real = np.arange(shape[1]) < np.asarray(lengths)[:, None]
+    dh = rng.standard_normal((*shape, cfg.hidden)) * real[..., None]
+    return model, ids, boost, dh.astype(dtype)
+
+
+def batch_grads(model, ids, boost, dh, lengths):
+    _, caches = encoder_forward(model, ids, boost, return_caches=True,
+                                lengths=np.asarray(lengths))
+    return M.encoder_backward(model, dh, caches)
+
+
+class TestPaddedBatchGradients:
+    LENGTHS = [12, 5, 9, 1]  # 12 is past the relative-distance clip, 2·3 + 1
+
+    @pytest.mark.parametrize("boost_mode, gate_mode", [
+        ("residual_gate", "shared"), ("attention_score", "shared"), ("residual_gate", "off")])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_a_batch_gradient_is_the_sum_of_its_rows(self, boost_mode, gate_mode, dtype, rtol):
+        cfg = ModelConfig(layers=2, hidden=16, heads=2, vocab_size=64, lora_rank=2,
+                          max_rel_distance=3, boost_mode=boost_mode, gate_mode=gate_mode)
+        model, ids, boost, dh = padded_batch(cfg, self.LENGTHS, seed=21, dtype=dtype)
+        grads = batch_grads(model, ids, boost, dh, self.LENGTHS)
+        total = {}
+        for row, n in enumerate(self.LENGTHS):
+            _, caches = encoder_forward(model, ids[row, :n], boost[row, :n], return_caches=True)
+            for name, g in M.encoder_backward(model, dh[row, :n], caches).items():
+                total[name] = total.get(name, 0) + g
+        assert grads.keys() == total.keys()
+        assert ("gate.w" in grads) == (gate_mode == "shared")
+        for name, g in grads.items():
+            assert g.dtype == dtype, name
+            gap = np.max(np.abs(g - total[name])) / np.max(np.abs(total[name]))
+            assert gap <= rtol, (name, gap)
+
+    @pytest.mark.parametrize("boost_mode", ["residual_gate", "attention_score"])
+    def test_padding_reaches_no_gradient(self, boost_mode):
+        cfg = ModelConfig(layers=2, hidden=16, heads=2, vocab_size=64, lora_rank=2,
+                          max_rel_distance=3, boost_mode=boost_mode)
+        model, ids, boost, dh = padded_batch(cfg, self.LENGTHS, seed=22)
+        grads = batch_grads(model, ids, boost, dh, self.LENGTHS)
+        rng = np.random.default_rng(23)
+        pad = np.arange(ids.shape[1]) >= np.asarray(self.LENGTHS)[:, None]
+        ids[pad] = rng.integers(0, cfg.vocab_size, pad.sum())
+        boost[pad] = rng.uniform(1.0, 3.0, pad.sum())
+        for name, g in batch_grads(model, ids, boost, dh, self.LENGTHS).items():
+            np.testing.assert_array_equal(g, grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("boost_mode", ["residual_gate", "attention_score"])
+    def test_gradients_match_finite_differences(self, boost_mode):
+        # loss = sum(hidden * dh) over the real positions; row 0 is past the
+        # clip, L = 11 > 2·2 + 1
+        lengths = [11, 4, 7]
+        cfg = ModelConfig(layers=2, hidden=8, heads=2, vocab_size=32, lora_rank=2,
+                          max_rel_distance=2, boost_mode=boost_mode)
+        model, ids, boost, dh = padded_batch(cfg, lengths, seed=24, dtype=np.float64)
+        rng = np.random.default_rng(25)
+        for name, p in model.params.items():  # far from zero Q/K LoRA gradients
+            if ".attn." in name and not name.endswith(".lora_b"):
+                p[...] += rng.standard_normal(p.shape) * 0.5
+        grads = batch_grads(model, ids, boost, dh, lengths)
+        assert {M.param_group(name) for name in grads} == {"lora", "gates", "embed_domain"}
+
+        def loss():
+            hidden = encoder_forward(model, ids, boost, lengths=np.asarray(lengths))
+            return float(np.sum(hidden * dh))
+
+        eps = 1e-6
+        worst = 0.0
+        for name, g in sorted(grads.items()):
+            flat, analytic = model.params[name].reshape(-1), g.reshape(-1)
+            for i in rng.choice(flat.size, min(6, flat.size), replace=False):
+                orig = flat[i]
+                flat[i] = orig + eps
+                up = loss()
+                flat[i] = orig - eps
+                down = loss()
+                flat[i] = orig
+                numeric = (up - down) / (2 * eps)
+                worst = max(worst, abs(numeric - analytic[i])
+                            / max(abs(numeric), abs(analytic[i]), 1.0))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("boost_mode", ["residual_gate", "attention_score"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_example_is_bitwise_a_batch_of_one(self, boost_mode, dtype):
+        # checkpoints stay the same bytes only if an example's gradients do
+        cfg = ModelConfig(layers=2, hidden=16, heads=2, vocab_size=64, lora_rank=2,
+                          max_rel_distance=3, boost_mode=boost_mode)
+        model, ids, boost, dh = padded_batch(cfg, [13], seed=26, dtype=dtype)
+        h1, c1 = encoder_forward(model, ids[0], boost[0], return_caches=True)
+        h2, c2 = encoder_forward(model, ids, boost, return_caches=True, lengths=np.array([13]))
+        assert h1.shape == (13, cfg.hidden) and h2.shape == (1, 13, cfg.hidden)
+        assert h1.tobytes() == h2.tobytes()
+        g1 = M.encoder_backward(model, dh[0], c1)
+        g2 = M.encoder_backward(model, dh, c2)
+        assert g1.keys() == g2.keys()
+        for name in g1:
+            assert g1[name].tobytes() == g2[name].tobytes(), name
 
 
 class TestSpanLoss:
@@ -787,7 +898,7 @@ class TestEncoderBackward:
         ex = toy_example(n_ctx=12, n_q=3)
         h, caches = encoder_forward(model, ex.token_ids, ex.boost, return_caches=True)
         before = _cached_arrays(caches)
-        assert any(shape == (cfg.heads, len(ex), len(ex)) for _, _, shape, _ in before)
+        assert any(shape == (1, cfg.heads, len(ex), len(ex)) for _, _, shape, _ in before)
         dh = np.random.default_rng(15).standard_normal(h.shape).astype(h.dtype)
         first = M.encoder_backward(model, dh, caches)
         assert _cached_arrays(caches) == before
@@ -826,7 +937,7 @@ class TestAttentionBackward:
         _, cache = attention_fwd(h, params, 0, cfg, boost)
         run_starts = M._run_starts(M._rel_runs(seq_len, max_dist))
         dh, ((daq, dbq), (dak, dbk), _, _) = M._attention_bwd(dout, cache, params, 0, cfg,
-                                                               run_starts, boost)
+                                                               run_starts, boost[None])
         analytic = {"h": dh}
         probed = {"h": h}
         for name, grad in (("layer0.attn.q.lora_a", daq), ("layer0.attn.q.lora_b", dbq),

@@ -4,12 +4,14 @@ Its words and ``normalize_text``'s string equal the two-regex reference in
 ``text_reference.py`` on text drawn from every whitespace code point up to
 U+3000, punctuation, the transliteration keys, combining marks and word
 characters.  Boost vectors of encoded examples read the tokenizer's already
-normalized words without normalizing them again.  ``write_json`` writes
-exactly ``json.dumps`` and one newline, in UTF-8.
+normalized words without normalizing them again.  ``text.RAW_TOKEN`` is the
+one raw-token pattern.  ``write_json`` writes exactly ``json.dumps`` and one
+newline, in UTF-8.
 """
 
 import json
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,16 @@ def test_build_boost_vector_does_not_normalize(tiny_encoded, builtin_dict, monke
         boosted += int((boost > 1.0).any())
     assert boosted > 0
     assert calls == []
+
+
+def test_one_raw_token_pattern():
+    # words_with_spans and the tokenizer's raw-token pass read text.RAW_TOKEN;
+    # no other module spells the pattern
+    package = Path(text.__file__).parent
+    spelled = [path.name for path in sorted(package.glob("*.py"))
+               if r'r"\S+"' in path.read_text(encoding="utf-8")]
+    assert spelled == ["text.py"]
+    assert tokenizer.RAW_TOKEN is text.RAW_TOKEN
 
 
 @pytest.mark.parametrize("sort_keys", [False, True])
