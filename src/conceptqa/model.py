@@ -54,7 +54,7 @@ GROUP_FROZEN = "frozen"
 ADAPTABLE_GROUPS = (GROUP_LORA, GROUP_GATES, GROUP_HEADS, GROUP_EMBED_DOMAIN)
 
 CHECKPOINT_MAGIC = b"CQAM"
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["gate.w"] = (d, d)
         shapes["gate.b"] = (d,)
     shapes["heads.start.weight"] = (d,)
-    shapes["heads.start.bias"] = ()
     shapes["heads.end.weight"] = (d,)
-    shapes["heads.end.bias"] = ()
     return shapes
 
 
@@ -193,7 +191,7 @@ def count_parameters(config: ModelConfig) -> dict:
     by_group: dict[str, int] = {g: 0 for g in ADAPTABLE_GROUPS}
     by_group[GROUP_FROZEN] = 0
     for name, shape in parameter_shapes(config).items():
-        by_group[param_group(name)] += int(np.prod(shape, dtype=np.int64)) if shape else 1
+        by_group[param_group(name)] += math.prod(shape)
     trainable = sum(by_group[g] for g in ADAPTABLE_GROUPS)
     return {"by_group": by_group, "trainable": trainable, "frozen": by_group[GROUP_FROZEN]}
 
@@ -775,9 +773,7 @@ def encoder_backward(model: EncoderModel, dh: np.ndarray, caches) -> dict[str, n
 
 def span_logits(model: EncoderModel, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = model.params
-    start = hidden @ p["heads.start.weight"] + p["heads.start.bias"]
-    end = hidden @ p["heads.end.weight"] + p["heads.end.bias"]
-    return start, end
+    return hidden @ p["heads.start.weight"], hidden @ p["heads.end.weight"]
 
 
 def qa_forward(model: EncoderModel, example: TokenizedExample):
@@ -824,14 +820,7 @@ def qa_loss_and_grads(
     loss, dstart, dend = _span_loss_and_grads(start, end, example.gold_span)
 
     p = model.params
-    # A softmax's logit gradient sums to 0, so a head bias's gradient is exactly
-    # 0; dstart.sum() would be rounding noise, which AdamW scales up to steps.
-    grads: dict[str, np.ndarray] = {
-        "heads.start.weight": hidden.T @ dstart,
-        "heads.start.bias": np.zeros_like(p["heads.start.bias"]),
-        "heads.end.weight": hidden.T @ dend,
-        "heads.end.bias": np.zeros_like(p["heads.end.bias"]),
-    }
+    grads = {"heads.start.weight": hidden.T @ dstart, "heads.end.weight": hidden.T @ dend}
     dh = np.outer(dstart, p["heads.start.weight"]) + np.outer(dend, p["heads.end.weight"])
     grads.update(encoder_backward(model, dh, caches))
     return loss, {k: v for k, v in grads.items() if param_group(k) in trainable_groups}

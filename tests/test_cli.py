@@ -464,10 +464,10 @@ class TestTrainEvalPredict:
     @pytest.mark.parametrize("edit, message", [
         (lambda h: h["config"].update(bogus=1), "unknown config key"),
         (lambda h: h["config"].update(vocab_size=257),
-         "the body has 57992 bytes, the config's tensors take 58056"),
+         "the body has 57984 bytes, the config's tensors take 58048"),
         (lambda h: h.update(tensors=[]), "unknown header key 'tensors'"),
         (lambda h: h["config"].update(layers=10**9),
-         "config has 1000000000 layers of hidden 16, more than the 57992-byte body holds"),
+         "config has 1000000000 layers of hidden 16, more than the 57984-byte body holds"),
         (lambda h: h.update(config=3), "header 'config' must be dict, got 3"),
         (lambda h: h["config"].update(layers="2"), "config 'layers' must be int, got '2'"),
     ])
@@ -489,11 +489,13 @@ class TestTrainEvalPredict:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda raw: raw[:-4], "the body has 57988 bytes, the config's tensors take 57992"),
-        (lambda raw: raw + raw[-4:], "the body has 57996 bytes, the config's tensors take"),
+        (lambda raw: raw[:-4], "the body has 57980 bytes, the config's tensors take 57984"),
+        (lambda raw: raw + raw[-4:], "the body has 57988 bytes, the config's tensors take"),
         (lambda raw: raw[:4] + np.uint32(1).tobytes() + raw[8:],
          "unsupported checkpoint format 1"),
-    ], ids=["float_cut", "float_added", "format_1"])
+        (lambda raw: raw[:4] + np.uint32(2).tobytes() + raw[8:],
+         "unsupported checkpoint format 2"),
+    ], ids=["float_cut", "float_added", "format_1", "format_2"])
     def test_predict_rejects_wrong_body_or_format(self, workdir, trained, tmp_path, capsys,
                                                   edit, message):
         bad = tmp_path / "edited.bin"
@@ -1114,7 +1116,7 @@ class TestExitCodes:
 
         def poisoned(model, example, **kwargs):
             loss, grads = real(model, example, **kwargs)
-            grads["heads.start.bias"] = np.full_like(grads["heads.start.bias"], np.nan)
+            grads["heads.start.weight"] = np.full_like(grads["heads.start.weight"], np.nan)
             return loss, grads
 
         monkeypatch.setattr(model_mod, "qa_loss_and_grads", poisoned)

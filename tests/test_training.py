@@ -539,13 +539,13 @@ class TestTrainTwoStage:
                 best.update({k: v.copy() for k, v in model.params.items()})
             loss, grads = real(model, example, **kwargs)
             if len(calls) == 21:
-                grads["heads.end.bias"] = np.full_like(grads["heads.end.bias"], np.nan)
+                grads["heads.end.weight"] = np.full_like(grads["heads.end.weight"], np.nan)
             return loss, grads
 
         monkeypatch.setattr(model_mod, "qa_loss_and_grads", poisoned)
         cfg = TrainConfig(learning_rate=5e-3, warmup_steps=2, patience=5, seed=0)
         stages = [StageConfig("adaptation", 3, False, ("lora", "heads"))]
-        with pytest.raises(TrainingDiverged, match="'heads.end.bias'; step aborted at step 6; "
+        with pytest.raises(TrainingDiverged, match="'heads.end.weight'; step aborted at step 6; "
                                                    "kept the parameters of step 4") as info:
             train_two_stage(model, train, val, cfg, stages, vocab=vocab)
         assert info.value.model is model and model.params is table
