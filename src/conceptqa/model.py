@@ -200,68 +200,63 @@ class Layout:
     """Where each adapted tensor sits in one flat array: group by group in
     ``ADAPTABLE_GROUPS`` order, in the given order within a group.
 
-    ``names[i]`` spans ``bounds[i]:bounds[i + 1]`` of the array, in row-major order.
+    ``names[i]`` spans ``bounds[i]:bounds[i + 1]`` of the array, in row-major
+    order.  Parameters, their AdamW moments and their gradients all take this
+    layout, so one slice reads a tensor's value, moments and gradient.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
         rank = {group: i for i, group in enumerate(ADAPTABLE_GROUPS)}
-        self.names = tuple(sorted((name for name in shapes if param_group(name) in rank),
-                                  key=lambda name: rank[param_group(name)]))
+        self._group = {name: group for name in shapes if (group := param_group(name)) in rank}
+        self.names = tuple(sorted(self._group, key=lambda name: rank[self._group[name]]))
         self.shapes = tuple(tuple(shapes[name]) for name in self.names)
         self.bounds = np.cumsum([0, *(math.prod(shape) for shape in self.shapes)])
-        self._selections: dict[tuple[str, ...], tuple] = {}
+        self._slices = tuple(slice(int(a), int(b))
+                             for a, b in zip(self.bounds[:-1], self.bounds[1:]))
+        self._selections: dict[tuple[str, ...], tuple[slice, ...]] = {}
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Each adapted tensor as a view into ``flat``."""
-        return [flat[a:b].reshape(shape)
-                for a, b, shape in zip(self.bounds[:-1], self.bounds[1:], self.shapes)]
+        return [flat[part].reshape(shape) for part, shape in zip(self._slices, self.shapes)]
 
-    def select(self, groups) -> tuple:
-        """``(names, bounds, runs)`` of the adapted tensors of ``groups``, packed
-        one after another in layout order: their names, the packed bounds of
-        each, and each stretch of them that is contiguous in the flat array as
-        (flat slice, packed slice)."""
+    def select(self, groups) -> tuple[slice, ...]:
+        """The stretches of the flat array that the adapted tensors of ``groups``
+        fill, in layout order; adjacent tensors share one stretch."""
         groups = tuple(groups)
         if groups not in self._selections:
             unknown = set(groups) - set(ADAPTABLE_GROUPS)
             if unknown:
                 raise ValueError(f"unknown trainable group {min(unknown)!r}")
-            picked = [i for i, name in enumerate(self.names) if param_group(name) in groups]
-            bounds = np.cumsum([0, *(self.bounds[i + 1] - self.bounds[i] for i in picked)])
-            runs = []
-            for j, i in enumerate(picked):
-                flat = slice(int(self.bounds[i]), int(self.bounds[i + 1]))
-                packed = slice(int(bounds[j]), int(bounds[j + 1]))
-                if runs and runs[-1][0].stop == flat.start:  # extends the stretch before it
-                    before = runs.pop()
-                    flat, packed = (slice(before[0].start, flat.stop),
-                                    slice(before[1].start, packed.stop))
-                runs.append((flat, packed))
-            self._selections[groups] = (tuple(self.names[i] for i in picked), bounds, tuple(runs))
+            stretches: list[slice] = []
+            for name, part in zip(self.names, self._slices):
+                if self._group[name] in groups:
+                    if stretches and stretches[-1].stop == part.start:
+                        part = slice(stretches.pop().start, part.stop)
+                    stretches.append(part)
+            self._selections[groups] = tuple(stretches)
         return self._selections[groups]
 
     def groups_of(self, grads: dict[str, np.ndarray]) -> tuple[str, ...]:
         """The groups that a dict of per-name gradients names; KeyError for a
         name that is not an adapted tensor of this layout."""
-        for name in grads:
-            if name not in self.names:
-                raise KeyError(f"gradient for unknown parameter {name!r}")
-        return tuple(sorted({param_group(name) for name in grads}, key=ADAPTABLE_GROUPS.index))
-
-    def pack(self, grads: dict[str, np.ndarray], groups) -> np.ndarray:
-        """The gradients of ``groups`` as one flat array, as ``select(groups)``
-        packs them; ``grads`` names every adapted tensor of those groups and no
-        other."""
-        names = self.select(groups)[0]
         try:
-            parts = [grads[name].ravel() for name in names]
+            named = {self._group[name] for name in grads}
         except KeyError as exc:
-            raise ValueError(f"no gradient for {exc.args[0]!r} of trained groups "
-                             f"{tuple(groups)}") from None
-        if len(parts) != len(grads):
-            raise ValueError(f"gradient for {min(set(grads) - set(names))!r} outside "
-                             f"the trained groups {tuple(groups)}")
-        return np.concatenate(parts)
+            raise KeyError(f"gradient for unknown parameter {exc.args[0]!r}") from None
+        return tuple(group for group in ADAPTABLE_GROUPS if group in named)
+
+    def pack(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """The gradients of ``grads`` laid out like the flat array, zeros where
+        it names no group; ``grads`` names every adapted tensor of each group
+        it names."""
+        groups = self.groups_of(grads)
+        flat = np.zeros(int(self.bounds[-1]), dtype=np.result_type(*grads.values()))
+        for name, part in zip(self.names, self._slices):
+            if name in grads:
+                flat[part] = grads[name].ravel()
+            elif self._group[name] in groups:
+                raise ValueError(f"no gradient for {name!r} of trained groups {groups}")
+        return flat
 
 
 class ParamTable(dict):
@@ -806,12 +801,9 @@ def _span_loss_and_grads(start_logits, end_logits, gold: tuple[int, int]):
     return float(loss_start + loss_end), dstart, dend
 
 
-def qa_loss_and_grads(
-    model: EncoderModel,
-    example: TokenizedExample,
-    trainable_groups: tuple[str, ...] = ADAPTABLE_GROUPS,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and exact gradients for every parameter in ``trainable_groups``."""
+def qa_loss_and_grads(model: EncoderModel,
+                      example: TokenizedExample) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and exact gradients for every adapted parameter, by name."""
     if example.gold_span is None:
         raise ValueError("example has no gold span")
     hidden, caches = encoder_forward(model, example.token_ids, example.boost,
@@ -823,7 +815,7 @@ def qa_loss_and_grads(
     grads = {"heads.start.weight": hidden.T @ dstart, "heads.end.weight": hidden.T @ dend}
     dh = np.outer(dstart, p["heads.start.weight"]) + np.outer(dend, p["heads.end.weight"])
     grads.update(encoder_backward(model, dh, caches))
-    return loss, {k: v for k, v in grads.items() if param_group(k) in trainable_groups}
+    return loss, grads
 
 
 def _band(padded: np.ndarray, rows: int, width: int) -> np.ndarray:

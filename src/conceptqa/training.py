@@ -143,12 +143,12 @@ def optimizer_step(
     β₁ ``ADAM_BETA1``, β₂ ``ADAM_BETA2`` and ε ``ADAM_EPS``.
 
     ``grads`` is a dict of per-name gradients that covers whole groups, or,
-    with ``groups``, one flat array of those groups' gradients as
-    ``Layout.pack`` lays them out.  The update runs on the slices of
-    ``params.flat`` and of the moments that the trained groups hold; every
-    other group keeps its values and zero moments (no decay either).  The step
-    counter is global.  A non-finite gradient, named by its tensor, or an
-    adapted entry of ``params`` that was rebound aborts the step before
+    with ``groups``, one array laid out like ``params.flat`` (``Layout.pack``).
+    The update reads gradient, parameters and moments through the same slices
+    of the flat array, those the trained groups fill; every other group keeps
+    its values and zero moments (no decay either).  The step counter is
+    global.  A non-finite gradient of a trained group, named by its tensor, or
+    an adapted entry of ``params`` that was rebound aborts the step before
     anything moves.
     """
     if not isinstance(params, ParamTable):
@@ -157,15 +157,17 @@ def optimizer_step(
     layout = params.layout
     if groups is None:
         groups = layout.groups_of(grads)
-        grads = layout.pack(grads, groups)
-    names, bounds, runs = layout.select(groups)
-    if np.shape(grads) != (bounds[-1],):
-        raise ValueError(f"gradient of shape {np.shape(grads)} for {bounds[-1]} "
-                         f"values of groups {tuple(groups)}")
-    finite = np.isfinite(grads)
-    if not finite.all():
-        name = names[int(np.searchsorted(bounds, np.argmin(finite), side="right")) - 1]
-        raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
+        grads = layout.pack(grads)
+    if np.shape(grads) != params.flat.shape:
+        raise ValueError(f"gradient of shape {np.shape(grads)} for "
+                         f"{params.flat.size} adapted values")
+    stretches = layout.select(groups)
+    for part in stretches:
+        finite = np.isfinite(grads[part])
+        if not finite.all():
+            at = part.start + int(np.argmin(finite))
+            name = layout.names[int(np.searchsorted(layout.bounds, at, side="right")) - 1]
+            raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
     detached = params.detached()
     if detached is not None:
         raise ValueError(f"params[{detached!r}] was rebound and is no longer part of the "
@@ -177,8 +179,8 @@ def optimizer_step(
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     grads = grads.astype(params.flat.dtype, copy=False)
-    for part, packed in runs:  # one run per stretch of adjacent trained groups
-        p, m, v, g = params.flat[part], state["m"][part], state["v"][part], grads[packed]
+    for part in stretches:  # one per stretch of adjacent trained groups
+        p, m, v, g = params.flat[part], state["m"][part], state["v"][part], grads[part]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -313,23 +315,22 @@ def _train_step(model: EncoderModel, step: int, lr: float, batch: list, cfg: Tra
                 opt_state: dict, trainable: tuple[str, ...]) -> list[float]:
     """One optimizer step on the batch-mean gradient; returns per-example losses.
 
-    Each example's gradients are packed into one flat array, and the batch
-    sums them in order, ((g1 + g2) + g3) + ..., before one division.  The
-    first overflow or invalid value anywhere in the step raises
-    FloatingPointError naming the step, not a numpy warning.
+    Each example's gradients are laid out like the adapted-parameter array,
+    and the batch sums them in order, ((g1 + g2) + g3) + ..., before one
+    division.  The first overflow or invalid value anywhere in the step
+    raises FloatingPointError naming the step, not a numpy warning.
     """
     pack = model.params.layout.pack
     losses = []
     try:
         with np.errstate(over="raise", invalid="raise"):
             for i, enc in enumerate(batch):
-                loss, grads = model_mod.qa_loss_and_grads(model, enc.example,
-                                                          trainable_groups=trainable)
+                loss, grads = model_mod.qa_loss_and_grads(model, enc.example)
                 losses.append(loss)
                 if i == 0:
-                    acc = pack(grads, trainable)
+                    acc = pack(grads)
                 else:
-                    acc += pack(grads, trainable)
+                    acc += pack(grads)
             acc /= len(batch)
             optimizer_step(model.params, acc, opt_state, cfg, lr=lr, groups=trainable)
     except FloatingPointError as exc:
@@ -363,8 +364,11 @@ def train_two_stage(
     if not usable:
         raise ValueError("no trainable examples: every gold span was truncated away")
 
+    epochs = min(sum(s.epochs for s in stages), cfg.max_epochs)
+    if epochs == 0:
+        raise ValueError("no training steps: the stages run 0 epochs")
     steps_per_epoch = math.ceil(len(usable) / cfg.effective_batch)
-    total_steps = min(sum(s.epochs for s in stages), cfg.max_epochs) * steps_per_epoch
+    total_steps = epochs * steps_per_epoch
     lr_schedule(0, cfg, total_steps)  # validates the schedule up front
 
     steps = _steps(usable, cfg, total_steps)

@@ -799,6 +799,9 @@ class TestExitCodes:
         ("model.max_rel_distance=-1", "max_rel_distance must be >= 0, got -1"),
         ('stages=[{"stage":"x"}]',
          "stages.0.stage must be one of ['adaptation', 'specialization'], got 'x'"),
+        ("stages=[]", "error: no training steps: the stages run 0 epochs"),
+        ('stages=[{"stage":"adaptation","epochs":0},{"stage":"specialization","epochs":0}]',
+         "error: no training steps: the stages run 0 epochs"),
         ("split.ratios=oops", "split.ratios"),
         ("split.seed=oops", "split.seed"),
         ("split.bogus=1", "unknown setting key 'split.bogus'"),

@@ -392,9 +392,6 @@ class TestFloat32Gradients:
             assert abs(loss32 - loss64) <= 1e-5 * abs(loss64), length
             for name in g64:
                 assert g32[name].dtype == np.float32, name
-                if name.endswith(".bias"):  # a softmax gradient sums to 0: rounding alone
-                    assert abs(float(g32[name])) <= 1e-6, (length, name)
-                    continue
                 gap = np.max(np.abs(g32[name] - g64[name])) / np.max(np.abs(g64[name]))
                 assert gap <= GRAD_F32_RTOL, (length, name, gap)
 
@@ -1029,17 +1026,21 @@ class TestParamTable:
                        for k in params if k not in layout.names)
 
     def test_a_selection_packs_its_groups_in_stretches(self):
+        # packed gradients of lora and heads fill exactly their stretches
         layout = build_model(self.CFG, seed=0).params.layout
         ends = {g: max(int(layout.bounds[i + 1]) for i, name in enumerate(layout.names)
                        if M.param_group(name) == g) for g in M.ADAPTABLE_GROUPS}
         lora, gates, heads = ends["lora"], ends["gates"], ends["heads"]
-        names, bounds, runs = layout.select(("heads", "lora"))
-        assert [M.param_group(name) for name in names] == ["lora"] * 16 + ["heads"] * 2
-        assert runs == ((slice(0, lora), slice(0, lora)),
-                        (slice(gates, heads), slice(lora, lora + heads - gates)))
-        assert bounds[-1] == lora + heads - gates
-        names, bounds, runs = layout.select(M.ADAPTABLE_GROUPS)
-        assert names == layout.names and runs == ((slice(0, ends["embed_domain"]),) * 2,)
+        stretches = layout.select(("heads", "lora"))
+        assert stretches == (slice(0, lora), slice(gates, heads))
+        packed = layout.pack({name: np.ones(shape) for name, shape in
+                              zip(layout.names, layout.shapes)
+                              if M.param_group(name) in ("heads", "lora")})
+        filled = np.zeros(packed.size)
+        for part in stretches:
+            filled[part] = 1.0
+        assert packed.tobytes() == filled.tobytes()
+        assert layout.select(M.ADAPTABLE_GROUPS) == (slice(0, ends["embed_domain"]),)
         with pytest.raises(ValueError, match="unknown trainable group 'frozen'"):
             layout.select(("lora", "frozen"))
 

@@ -7,6 +7,8 @@ history, the checkpoint, both prediction files and the eval report without
 ``mean_latency_ms`` (a wall-clock reading).  Unlike criterion 9, which
 compares two runs in one process, this sees a change against the committed
 code.  The digests hold for one numpy and BLAS build; a mismatch prints both.
+The script run under ``PYTHONHASHSEED`` 1 and 2 must print them too, which
+catches an output that follows the iteration order of a set of strings.
 
 A change that alters these outputs on purpose prints the new digests with
 ``python tests/test_pipeline_golden.py`` and records the old and new digests
@@ -17,10 +19,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import conceptqa
 from conceptqa.cli import main
 from conceptqa.dictionary import builtin_dictionary, save_dictionary
 
@@ -71,6 +78,18 @@ def test_pipeline_outputs_match_the_pinned_digests(tmp_path):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert digests == PIPELINE_SHA256, (
         f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}")
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_pipeline_digests_do_not_depend_on_the_hash_seed(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(conceptqa.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, __file__], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert dict(line.split() for line in result.stdout.splitlines()) == PIPELINE_SHA256
 
 
 if __name__ == "__main__":

@@ -362,15 +362,34 @@ class TestTrainTwoStage:
         assert history.best_step == history.records[0]["step"]
 
     def test_stage_one_leaves_gates_bitwise_at_init(self, training_setup):
+        # the domain term too: stage one trains the lora and heads groups only
         train, val, vocab = training_setup
         model = self._model(vocab)
-        gate_w = model.params["gate.w"].copy()
-        gate_b = model.params["gate.b"].copy()
+        kept = ("gate.w", "gate.b", "embed.domain_projection", "embed.domain_vector")
+        before = {k: model.params[k].copy() for k in kept}
         cfg = TrainConfig(learning_rate=1e-3, warmup_steps=1, patience=2, seed=0)
         stages = [StageConfig("adaptation", 2, False, ("lora", "heads"))]
         model, _ = train_two_stage(model, train, val, cfg, stages, vocab=vocab)
-        assert model.params["gate.w"].tobytes() == gate_w.tobytes()
-        assert model.params["gate.b"].tobytes() == gate_b.tobytes()
+        for k in kept:
+            assert model.params[k].tobytes() == before[k].tobytes(), k
+
+    def test_a_step_moves_only_its_groups_and_their_moments(self, training_setup):
+        # every adapted gradient reaches the step, the gate's and the domain
+        # term's nonzero, but only the lora and heads stretches and moments move
+        from conceptqa import training
+        train, _, vocab = training_setup
+        model = self._model(vocab)
+        _, grads = model_mod.qa_loss_and_grads(model, train[0].example)
+        assert all(grads[k].any() for k in ("gate.w", "embed.domain_vector"))
+        before = model.params.flat.copy()
+        state = init_optimizer_state({})
+        training._train_step(model, 1, 1e-3, train[:4], TrainConfig(), state, ("lora", "heads"))
+        layout, flat = model.params.layout, model.params.flat
+        for group in model_mod.ADAPTABLE_GROUPS:
+            parts = layout.select((group,))
+            moved = any(flat[part].tobytes() != before[part].tobytes() for part in parts)
+            moments = any(state[k][part].any() for k in "mv" for part in parts)
+            assert moved == moments == (group in ("lora", "heads")), group
 
     def test_stage_one_ignores_the_boost(self, training_setup, models_equal):
         # the boost-off stage is the no_icd model: all-ones boosts train it identically
