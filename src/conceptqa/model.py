@@ -133,10 +133,16 @@ def read_config(default, values, kind: str, section: str = "", fixed: tuple[str,
 
 @dataclass
 class EncoderModel:
+    """A config and its tensors, laid out when built: a plain dict is copied into a
+    new ``ParamTable``; a table is kept, so models (``ablated_model``) share one."""
     config: ModelConfig
     params: dict[str, np.ndarray]
     seed: int = 0
     dictionary_version: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.params, ParamTable):
+            self.params = ParamTable(self.params)
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -236,28 +242,6 @@ class Layout:
             self._selections[groups] = tuple(stretches)
         return self._selections[groups]
 
-    def groups_of(self, grads: dict[str, np.ndarray]) -> tuple[str, ...]:
-        """The groups that a dict of per-name gradients names; KeyError for a
-        name that is not an adapted tensor of this layout."""
-        try:
-            named = {self._group[name] for name in grads}
-        except KeyError as exc:
-            raise KeyError(f"gradient for unknown parameter {exc.args[0]!r}") from None
-        return tuple(group for group in ADAPTABLE_GROUPS if group in named)
-
-    def pack(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        """The gradients of ``grads`` laid out like the flat array, zeros where
-        it names no group; ``grads`` names every adapted tensor of each group
-        it names."""
-        groups = self.groups_of(grads)
-        flat = np.zeros(int(self.bounds[-1]), dtype=np.result_type(*grads.values()))
-        for name, part in zip(self.names, self._slices):
-            if name in grads:
-                flat[part] = grads[name].ravel()
-            elif self._group[name] in groups:
-                raise ValueError(f"no gradient for {name!r} of trained groups {groups}")
-        return flat
-
 
 class ParamTable(dict):
     """Every tensor of a model by name, the adapted ones laid out in one array.
@@ -284,15 +268,6 @@ class ParamTable(dict):
 
     def __reduce__(self):  # a copy or an unpickled table lays out its own array
         return type(self), (dict(self),)
-
-    @classmethod
-    def of(cls, model: EncoderModel) -> "ParamTable":
-        """``model.params`` laid out: the table itself while every adapted entry
-        is still its view, else a new table of the current values, which
-        ``model.params`` then holds."""
-        if not (isinstance(model.params, cls) and model.params.detached() is None):
-            model.params = cls(model.params)
-        return model.params
 
     def detached(self) -> str | None:
         """The first adapted name whose entry is no longer its view into ``flat``."""
@@ -322,7 +297,7 @@ def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32,
     rng = np.random.default_rng(seed)
     return EncoderModel(
         config=config,
-        params=ParamTable(init_params(config, rng, dtype=dtype)),
+        params=init_params(config, rng, dtype=dtype),
         seed=seed,
         dictionary_version=dictionary_version,
     )
@@ -801,20 +776,33 @@ def _span_loss_and_grads(start_logits, end_logits, gold: tuple[int, int]):
     return float(loss_start + loss_end), dstart, dend
 
 
-def qa_loss_and_grads(model: EncoderModel,
-                      example: TokenizedExample) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and exact gradients for every adapted parameter, by name."""
+def qa_loss_and_grads(model: EncoderModel, example: TokenizedExample,
+                      into: np.ndarray | None = None) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and exact gradients for every adapted parameter, added into ``into``.
+
+    ``into`` is laid out like ``model.params.flat``, with its shape and dtype
+    (a new zero array when None); each gradient is added into its tensor's
+    slice, so passing one array to each call sums a batch.  Returns the loss
+    and every adapted tensor's name -> its view of ``into``.
+    """
     if example.gold_span is None:
         raise ValueError("example has no gold span")
+    p, flat = model.params, model.params.flat
+    into = np.zeros_like(flat) if into is None else into
+    if not isinstance(into, np.ndarray) or (into.shape, into.dtype) != (flat.shape, flat.dtype):
+        raise ValueError(f"into must be a {flat.dtype} array of shape {flat.shape} like "
+                         f"params.flat, got {getattr(into, 'dtype', type(into))} {np.shape(into)}")
     hidden, caches = encoder_forward(model, example.token_ids, example.boost,
                                      return_caches=True)
     start, end = span_logits(model, hidden)
     loss, dstart, dend = _span_loss_and_grads(start, end, example.gold_span)
 
-    p = model.params
-    grads = {"heads.start.weight": hidden.T @ dstart, "heads.end.weight": hidden.T @ dend}
+    grads = dict(zip(p.layout.names, p.layout.views(into)))
+    grads["heads.start.weight"] += hidden.T @ dstart
+    grads["heads.end.weight"] += hidden.T @ dend
     dh = np.outer(dstart, p["heads.start.weight"]) + np.outer(dend, p["heads.end.weight"])
-    grads.update(encoder_backward(model, dh, caches))
+    for name, grad in encoder_backward(model, dh, caches).items():
+        grads[name] += grad
     return loss, grads
 
 
@@ -937,6 +925,6 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
     parts = dict(zip(names, np.split(values.copy(), ends[:-1])))
     # in build_model's order, so a loaded model has a built one's layout
-    params = ParamTable({name: parts[name].reshape(shape) for name, shape in shapes.items()})
+    params = {name: parts[name].reshape(shape) for name, shape in shapes.items()}
     return EncoderModel(config=config, params=params, seed=header["seed"],
                         dictionary_version=header["dictionary_version"])

@@ -44,6 +44,8 @@ class StageConfig:
             raise ValueError("adaptation stage must run with the boost disabled")
         if self.stage == STAGE_SPECIALIZATION and not self.boost_enabled:
             raise ValueError("specialization stage must run with the boost enabled")
+        if not self.trainable:
+            raise ValueError("trainable must name at least one group, got none")
         for group in self.trainable:
             if group not in ADAPTABLE_GROUPS:
                 raise ValueError(f"unknown trainable group {group!r}")
@@ -142,26 +144,34 @@ def optimizer_step(
     """One decoupled-weight-decay adaptive-moment update, in place, with
     β₁ ``ADAM_BETA1``, β₂ ``ADAM_BETA2`` and ε ``ADAM_EPS``.
 
-    ``grads`` is a dict of per-name gradients that covers whole groups, or,
-    with ``groups``, one array laid out like ``params.flat`` (``Layout.pack``).
-    The update reads gradient, parameters and moments through the same slices
-    of the flat array, those the trained groups fill; every other group keeps
-    its values and zero moments (no decay either).  The step counter is
-    global.  A non-finite gradient of a trained group, named by its tensor, or
-    an adapted entry of ``params`` that was rebound aborts the step before
+    ``grads`` is one array laid out like ``params.flat``, as ``qa_loss_and_grads``
+    adds into, or a dict that names every adapted tensor with a gradient of its
+    shape, as that function returns.  The update reads gradient, parameters and
+    moments through the same slices, those ``groups`` fill (all four when None);
+    every other group keeps its values and zero moments (no decay either).  The
+    step counter is global.  A non-finite gradient of a trained group, named by
+    its tensor, or a rebound adapted entry of ``params`` aborts the step before
     anything moves.
     """
     if not isinstance(params, ParamTable):
-        raise TypeError("params must be a ParamTable, as build_model and "
-                        f"load_checkpoint make, got {type(params).__name__}")
+        raise TypeError("params must be a ParamTable, as EncoderModel makes, "
+                        f"got {type(params).__name__}")
     layout = params.layout
-    if groups is None:
-        groups = layout.groups_of(grads)
-        grads = layout.pack(grads)
+    if isinstance(grads, dict):
+        shapes = dict(zip(layout.names, layout.shapes))
+        for name in [*grads, *shapes]:
+            if name not in shapes:
+                raise KeyError(f"gradient for unknown parameter {name!r}")
+            if name not in grads:
+                raise ValueError(f"no gradient for {name!r}; a dict names every adapted tensor")
+            if np.shape(grads[name]) != shapes[name]:
+                raise ValueError(f"gradient for {name!r} has shape {np.shape(grads[name])}, "
+                                 f"its tensor {shapes[name]}")
+        grads = np.concatenate([grads[name] for name in shapes], axis=None)
     if np.shape(grads) != params.flat.shape:
         raise ValueError(f"gradient of shape {np.shape(grads)} for "
                          f"{params.flat.size} adapted values")
-    stretches = layout.select(groups)
+    stretches = layout.select(ADAPTABLE_GROUPS if groups is None else groups)
     for part in stretches:
         finite = np.isfinite(grads[part])
         if not finite.all():
@@ -315,22 +325,18 @@ def _train_step(model: EncoderModel, step: int, lr: float, batch: list, cfg: Tra
                 opt_state: dict, trainable: tuple[str, ...]) -> list[float]:
     """One optimizer step on the batch-mean gradient; returns per-example losses.
 
-    Each example's gradients are laid out like the adapted-parameter array,
-    and the batch sums them in order, ((g1 + g2) + g3) + ..., before one
-    division.  The first overflow or invalid value anywhere in the step
-    raises FloatingPointError naming the step, not a numpy warning.
+    Each example adds its gradients into one zero array laid out like the
+    adapted-parameter array: the batch sums them in order, ((g1 + g2) + g3)
+    + ..., before one division.  The first overflow or invalid value anywhere in
+    the step raises FloatingPointError naming the step, not a numpy warning.
     """
-    pack = model.params.layout.pack
+    acc = np.zeros_like(model.params.flat)
     losses = []
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for i, enc in enumerate(batch):
-                loss, grads = model_mod.qa_loss_and_grads(model, enc.example)
+            for enc in batch:
+                loss, _ = model_mod.qa_loss_and_grads(model, enc.example, into=acc)
                 losses.append(loss)
-                if i == 0:
-                    acc = pack(grads)
-                else:
-                    acc += pack(grads)
             acc /= len(batch)
             optimizer_step(model.params, acc, opt_state, cfg, lr=lr, groups=trainable)
     except FloatingPointError as exc:
@@ -372,7 +378,7 @@ def train_two_stage(
     lr_schedule(0, cfg, total_steps)  # validates the schedule up front
 
     steps = _steps(usable, cfg, total_steps)
-    params = ParamTable.of(model)
+    params = model.params
     opt_state = init_optimizer_state(params)
     best = params.flat.copy()  # the frozen tensors never change
 
@@ -426,7 +432,7 @@ def train_epochs_simple(
     usable = [e for e in train_set if e.example.gold_span is not None]
     if not usable:
         raise ValueError("no trainable examples")
-    opt_state = init_optimizer_state(ParamTable.of(model))
+    opt_state = init_optimizer_state(model.params)
     total = total_steps if total_steps is not None else max_steps
     for step, lr, batch in itertools.islice(_steps(usable, cfg, total), max_steps):
         _train_step(model, step, lr, batch, cfg, opt_state, trainable)

@@ -998,8 +998,7 @@ class TestExitCodes:
                 best.update({k: v.copy() for k, v in model.params.items()})
             loss, grads = real(model, example, **kwargs)
             if step == 12:
-                grads["heads.start.weight"] = np.full_like(grads["heads.start.weight"],
-                                                           np.nan)
+                grads["heads.start.weight"][...] = np.nan  # the views are the step's sum
             return loss, grads
 
         monkeypatch.setattr(model_mod, "qa_loss_and_grads", poisoned)
@@ -1027,6 +1026,16 @@ class TestExitCodes:
                             '{"stage":"specialization","epochs":5}]'])
         assert rc == 1
         assert "setting stages.0: epochs must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_a_stage_that_trains_nothing_is_one(self, workdir, tmp_path, capsys):
+        rc = main(["train", "--data", str(workdir / "flat.json"),
+                   "--vocab", str(workdir / "vocab.json"),
+                   "--dict", str(workdir / "icd.json"), "--out-dir", str(tmp_path / "run"),
+                   "--config", str(workdir / "config.json"), "--set", "stages.0.trainable=[]"])
+        assert rc == 1
+        assert ("setting stages.0: trainable must name at least one group"
+                in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
 
     def test_bad_record_is_one(self, workdir, tmp_path, capsys):
@@ -1119,7 +1128,7 @@ class TestExitCodes:
 
         def poisoned(model, example, **kwargs):
             loss, grads = real(model, example, **kwargs)
-            grads["heads.start.weight"] = np.full_like(grads["heads.start.weight"], np.nan)
+            grads["heads.start.weight"][...] = np.nan  # the views are the step's sum
             return loss, grads
 
         monkeypatch.setattr(model_mod, "qa_loss_and_grads", poisoned)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -58,8 +59,8 @@ class TestLrSchedule:
             lr_schedule(101, cfg, 100)
 
 
-# the optimizer updates the adapted tensors of a ParamTable; W is one of them
-W = "heads.start.weight"
+# the optimizer updates the adapted tensors of a ParamTable; W and Q are two of them
+W, Q = "heads.start.weight", "layer0.attn.q.lora_a"
 
 
 def _table(values) -> model_mod.ParamTable:
@@ -168,6 +169,21 @@ class TestOptimizerStep:
             optimizer_step(params, {W: np.ones(1)}, init_optimizer_state({}), TrainConfig(),
                            lr=1e-3)
 
+    @pytest.mark.parametrize("wrong, message", [
+        ({W: (2, 2)}, "'heads.start.weight' has shape (2, 2), its tensor (4,)"),
+        ({Q: (2, 4)}, "'layer0.attn.q.lora_a' has shape (2, 4), its tensor (4, 2)"),
+        ({W: (3,), Q: (9,)}, "'layer0.attn.q.lora_a' has shape (9,), its tensor (4, 2)"),
+    ], ids=["same size", "transposed", "sizes that cancel"])
+    def test_a_gradient_of_another_shape_is_refused(self, wrong, message):
+        # the dict is laid out by concatenation, so a wrong shape would shift or
+        # reshape gradients silently; it is refused before anything moves
+        params = model_mod.ParamTable({Q: np.ones((4, 2)), W: np.ones(4)})
+        grads = {name: np.ones(wrong.get(name, value.shape)) for name, value in params.items()}
+        state = init_optimizer_state(params)
+        with pytest.raises(ValueError, match=f"^gradient for {re.escape(message)}$"):
+            optimizer_step(params, grads, state, TrainConfig(), lr=1e-3)
+        assert params.flat.tolist() == [1.0] * 12 and state["step"] == 0
+
     def test_flat_adamw_matches_the_per_name_reference_bit_for_bit(self):
         # 120 steps of stage one's groups, then 100 of all four, on a float32
         # model: every tensor, and every moment the reference made, is
@@ -188,7 +204,9 @@ class TestOptimizerStep:
                 grads = {k: (rng.standard_normal(params[k].shape) * 0.1).astype(np.float32)
                          for k in names}
                 lr = float(rng.uniform(1e-4, 1e-2))
-                optimizer_step(params, grads, state, tcfg, lr=lr)
+                # a gradient dict names every adapted tensor; groups picks the trained ones
+                every = {k: grads.get(k, np.zeros_like(params[k])) for k in layout.names}
+                optimizer_step(params, every, state, tcfg, lr=lr, groups=groups)
                 _reference_adamw(reference, grads, ref_state, tcfg, lr)
 
         run(("lora", "heads"), 120)
@@ -446,6 +464,8 @@ class TestTrainTwoStage:
             StageConfig("specialization", 5, False, ("lora",))
         with pytest.raises(ValueError, match="unknown trainable group"):
             StageConfig("adaptation", 5, False, ("bogus",))
+        with pytest.raises(ValueError, match="^trainable must name at least one group, got none$"):
+            StageConfig("adaptation", 5, False, ())
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
@@ -558,7 +578,7 @@ class TestTrainTwoStage:
                 best.update({k: v.copy() for k, v in model.params.items()})
             loss, grads = real(model, example, **kwargs)
             if len(calls) == 21:
-                grads["heads.end.weight"] = np.full_like(grads["heads.end.weight"], np.nan)
+                grads["heads.end.weight"][...] = np.nan  # the views are the step's sum
             return loss, grads
 
         monkeypatch.setattr(model_mod, "qa_loss_and_grads", poisoned)
