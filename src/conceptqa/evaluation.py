@@ -60,12 +60,7 @@ def apply_ablation(config: ModelConfig, variant: str) -> ModelConfig:
 
 def ablated_model(model: EncoderModel, variant: str) -> EncoderModel:
     """Same parameters, ablated configuration (parameters are shared)."""
-    return EncoderModel(
-        config=apply_ablation(model.config, variant),
-        params=model.params,
-        seed=model.seed,
-        dictionary_version=model.dictionary_version,
-    )
+    return dataclasses.replace(model, config=apply_ablation(model.config, variant))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,18 +131,18 @@ def read_config(default, values, kind: str, section: str = "", fixed: tuple[str,
         raise ValueError(f"{where}: {exc}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderModel:
-    """A config and its tensors, laid out when built: a plain dict is copied into a
-    new ``ParamTable``; a table is kept, so models (``ablated_model``) share one."""
+    """A config and its tensors, frozen, so its table is never rebound: a plain dict
+    is copied into a new ``ParamTable``; a table is kept (``ablated_model`` shares one)."""
     config: ModelConfig
-    params: dict[str, np.ndarray]
+    params: Mapping[str, np.ndarray]
     seed: int = 0
     dictionary_version: str = ""
 
     def __post_init__(self):
         if not isinstance(self.params, ParamTable):
-            self.params = ParamTable(self.params)
+            object.__setattr__(self, "params", ParamTable(self.params))
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -243,38 +243,45 @@ class Layout:
         return self._selections[groups]
 
 
-class ParamTable(dict):
+class ParamTable(Mapping):
     """Every tensor of a model by name, the adapted ones laid out in one array.
 
     The tensors of ``ADAPTABLE_GROUPS`` are views into ``flat``, placed by
-    ``layout``; the frozen ones stay separate arrays.  Readers index the table
-    as a dict.  Write an adapted tensor in place (``params[name][...] = x``): an
-    entry rebound to another array is detached from ``flat``, and
-    ``training.optimizer_step`` refuses a table with a detached tensor.
+    ``layout``; the frozen ones stay separate arrays.  The table is read-only:
+    write a tensor in place (``params[name][...] = x``, ``params[name] *= x``);
+    storing any other object under a name, or deleting one, raises TypeError.
     Building a table copies the adapted tensors of ``params`` into a new array.
     """
 
-    def __init__(self, params: dict[str, np.ndarray]):
-        super().__init__(params)
+    def __init__(self, params: Mapping[str, np.ndarray]):
+        self._tensors = dict(params)
         self.layout = Layout({name: np.shape(value) for name, value in params.items()})
         arrays = [np.asarray(params[name]) for name in self.layout.names]
         dtypes = sorted({a.dtype.name for a in arrays})
         if len(dtypes) > 1:
             raise ValueError(f"adapted tensors must share one dtype, got {' and '.join(dtypes)}")
         self.flat = np.concatenate(arrays, axis=None)
-        self._views = tuple(self.layout.views(self.flat))
-        for name, view in zip(self.layout.names, self._views):
-            self[name] = view
+        self._tensors.update(zip(self.layout.names, self.layout.views(self.flat)))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._tensors[name]
+
+    def __iter__(self):
+        return iter(self._tensors)
+
+    def __len__(self) -> int:
+        return len(self._tensors)
+
+    def __setitem__(self, name: str, value) -> None:
+        # ``params[name] *= x`` updates in place, then stores the same array back
+        if name not in self._tensors or value is not self._tensors[name]:
+            raise TypeError(f"params[{name!r}] cannot be rebound; write into it in place")
+
+    def __delitem__(self, name: str) -> None:
+        raise TypeError(f"params[{name!r}] cannot be deleted")
 
     def __reduce__(self):  # a copy or an unpickled table lays out its own array
         return type(self), (dict(self),)
-
-    def detached(self) -> str | None:
-        """The first adapted name whose entry is no longer its view into ``flat``."""
-        if all(map(operator.is_, map(self.get, self.layout.names), self._views)):
-            return None
-        return next(name for name, view in zip(self.layout.names, self._views)
-                    if self.get(name) is not view)
 
 
 def _init_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator, dtype):
@@ -903,6 +910,8 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             raise ValueError(f"{path}: header {key!r} must be {kind.__name__}, got {got}")
     if header.keys() != kinds.keys():
         raise ValueError(f"{path}: unknown header key {min(header.keys() - kinds)!r}")
+    if header["seed"] < 0:  # build_model(config, seed) rebuilds the frozen tensors
+        raise ValueError(f"{path}: header 'seed' must be >= 0, got {header['seed']}")
     try:
         config = read_config(ModelConfig(), header["config"], "config")
     except ValueError as exc:

@@ -150,8 +150,7 @@ def optimizer_step(
     moments through the same slices, those ``groups`` fill (all four when None);
     every other group keeps its values and zero moments (no decay either).  The
     step counter is global.  A non-finite gradient of a trained group, named by
-    its tensor, or a rebound adapted entry of ``params`` aborts the step before
-    anything moves.
+    its tensor, aborts the step before anything moves.
     """
     if not isinstance(params, ParamTable):
         raise TypeError("params must be a ParamTable, as EncoderModel makes, "
@@ -178,10 +177,6 @@ def optimizer_step(
             at = part.start + int(np.argmin(finite))
             name = layout.names[int(np.searchsorted(layout.bounds, at, side="right")) - 1]
             raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
-    detached = params.detached()
-    if detached is not None:
-        raise ValueError(f"params[{detached!r}] was rebound and is no longer part of the "
-                         f"adapted-parameter array; write into it in place instead")
     if state["m"] is None:
         state["m"], state["v"] = np.zeros_like(params.flat), np.zeros_like(params.flat)
     state["step"] += 1

@@ -1008,6 +1008,17 @@ class TestParameterAccounting:
     def test_shapes_cover_every_param(self, small_model):
         assert set(parameter_shapes(small_model.config)) == set(small_model.params)
 
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(),
+        ModelConfig(layers=1, hidden=1, heads=1, lora_rank=1, max_rel_distance=0, max_len=1,
+                    vocab_size=1, ffn_multiplier=1, max_answer_len=1),
+        ModelConfig(layers=3, hidden=12, heads=3, gate_mode="off", boost_mode="off"),
+        ModelConfig(layers=12, hidden=768, heads=12, vocab_size=30000)])
+    def test_no_tensor_is_a_scalar(self, cfg):
+        # every tensor is an array with an axis, written into through a view
+        shapes = parameter_shapes(cfg)
+        assert all(len(shape) >= 1 for shape in shapes.values()), shapes
+
 
 class TestParamTable:
     CFG = ModelConfig(layers=2, hidden=8, heads=2, vocab_size=32, lora_rank=2)
@@ -1049,7 +1060,8 @@ class TestParamTable:
         import pickle
         table = build_model(self.CFG, seed=0).params
         for other in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
-            assert isinstance(other, M.ParamTable) and other.detached() is None
+            assert isinstance(other, M.ParamTable)
+            assert all(other[k].base is other.flat for k in other.layout.names)
             assert not np.shares_memory(other.flat, table.flat)
             assert other.flat.tobytes() == table.flat.tobytes()
 
@@ -1060,24 +1072,65 @@ class TestParamTable:
             M.ParamTable(values)
 
     def test_a_rebound_entry_is_detached_and_the_step_refuses_it(self):
-        # a model keeps a table with a rebound entry as it is; the first step stops
+        # the store refuses the rebinding, so nothing is detached: a model keeps
+        # the whole table and the next step moves gate.b through flat
         from conceptqa import training
         table = build_model(self.CFG, seed=0).params
-        assert table.detached() is None
-        table["gate.b"] = np.full(8, 3.0, np.float32)
-        assert table.detached() == "gate.b"
+        replaced = np.full(8, 3.0, np.float32)
+        before = table.flat.copy()
+        with pytest.raises(TypeError, match=r"^params\['gate\.b'\] cannot be rebound"):
+            table["gate.b"] = replaced
+        assert table["gate.b"] is not replaced and table["gate.b"].base is table.flat
         model = EncoderModel(config=self.CFG, params=table)
-        assert model.params is table and table.detached() == "gate.b"
-        with pytest.raises(ValueError, match=r"params\['gate\.b'\] was rebound"):
-            training.optimizer_step(table, np.zeros_like(table.flat),
-                                    training.init_optimizer_state({}),
-                                    training.TrainConfig(), lr=1e-3)
+        assert model.params is table and table.flat.tobytes() == before.tobytes()
+        grads = np.zeros_like(table.flat)
+        a, b = table.layout.bounds[table.layout.names.index("gate.b"):][:2]
+        grads[a:b] = 1.0
+        training.optimizer_step(table, grads, training.init_optimizer_state({}),
+                                training.TrainConfig(), lr=1e-3)
+        assert (table["gate.b"] != before[a:b]).all()
+        assert table["gate.b"].tobytes() == table.flat[a:b].tobytes()
+        assert replaced.tolist() == [3.0] * 8
+
+    def test_every_rebinding_raises_at_the_store_and_in_place_writes_move_flat(self):
+        model = build_model(self.CFG, seed=0)
+        table, frozen = model.params, model.params["layer0.ffn.w1"]
+        before = table.flat.copy()
+        for name, value in (("gate.b", np.full(8, 3.0, np.float32)),
+                            ("gate.b", table["gate.b"].copy()),
+                            ("gate.b", None),
+                            ("layer0.ffn.w1", frozen.copy()),
+                            ("no.such.tensor", np.zeros(1)),
+                            ("no.such.tensor", None)):
+            with pytest.raises(TypeError, match=rf"^params\[{re.escape(repr(name))}\] cannot "
+                                                r"be rebound; write into it in place$"):
+                model.params[name] = value
+        for name in ("gate.b", "layer0.ffn.w1", "no.such.tensor"):
+            with pytest.raises(TypeError, match=r"^params\[.*\] cannot be deleted$"):
+                del table[name]
+        for value in (table, dict(table)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.params = value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            best, model.params = model.params, dict(table)
+        assert model.params is table and table["layer0.ffn.w1"] is frozen
+        assert list(table) == list(M.parameter_shapes(self.CFG))
+        assert all(table[k].base is table.flat for k in table.layout.names)
+        assert table.flat.tobytes() == before.tobytes()
+        # written in place, adapted tensors move flat; ``*=`` stores the same array back
+        expected = before.copy()
+        views = dict(zip(table.layout.names, table.layout.views(expected)))
+        for t in (table, views):
+            t["gate.w"] *= 2
+            t["heads.start.weight"][...] += 1
+        assert table.flat.tobytes() == expected.tobytes() != before.tobytes()
 
     def test_a_model_copies_a_dict_into_a_table_and_keeps_a_table(self):
         built = build_model(self.CFG, seed=0)
         values = {k: v.copy() for k, v in built.params.items()}
         hand = EncoderModel(config=self.CFG, params=values)
-        assert isinstance(hand.params, M.ParamTable) and hand.params.detached() is None
+        t = hand.params
+        assert isinstance(t, M.ParamTable) and all(t[k].base is t.flat for k in t.layout.names)
         assert hand.params.flat.tobytes() == built.params.flat.tobytes()
         assert not any(np.shares_memory(hand.params.flat, values[k])
                        for k in hand.params.layout.names)
@@ -1133,7 +1186,8 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path).params
-        assert isinstance(loaded, M.ParamTable) and loaded.detached() is None
+        assert isinstance(loaded, M.ParamTable)
+        assert all(loaded[k].base is loaded.flat for k in loaded.layout.names)
         assert list(loaded) == list(model.params)
         assert loaded.layout.names == model.params.layout.names
         assert loaded.flat.tobytes() == model.params.flat.tobytes()
@@ -1191,6 +1245,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: config "
                                              "'lora_alpha' must be finite, got "):
             load_checkpoint(path)
+
+    def test_rejects_a_negative_seed_in_the_header(self, tmp_path):
+        # build_model(config, seed) must be able to rebuild the frozen tensors
+        cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
+        path = tmp_path / "model.bin"
+        save_checkpoint(build_model(cfg, seed=5), path)
+        raw = path.read_bytes()
+        hlen = int(np.frombuffer(raw[8:16], dtype=np.uint64)[0])
+        header = json.loads(raw[16:16 + hlen])
+        header["seed"] = -1
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + hlen:])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header 'seed' "
+                                             "must be >= 0, got -1$"):
+            load_checkpoint(path)
+        header["seed"] = 0
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + hlen:])
+        assert load_checkpoint(path).seed == 0
 
     def test_header_holds_the_config_seed_and_dictionary_version_only(self, tmp_path):
         cfg = ModelConfig(layers=1, hidden=8, heads=2, vocab_size=32, lora_rank=2)
